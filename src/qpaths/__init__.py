@@ -6,7 +6,7 @@ docstrings for the conventions (H step = down spin, weight q^(2*position)).
 """
 
 from .errors import CapExceeded, DomainError, InconsistentQuery, RangeError
-from .qpoly import ModelParameters, QPoly, QRational, evaluate
+from .qpoly import ModelParameters, QPoly, QRational
 from .paths import BoxSpec, Path, enumerate_paths, oracle_partition
 from .partition import (
     SectorSpec,
@@ -30,12 +30,10 @@ from .correlations import (
     pair_down_up_bound,
     pair_down_up_prob,
     point_prob,
-    sample_path,
     spin_down_bound,
     spin_down_prob,
     spin_up_bound,
     spin_up_prob,
-    tail_bound,
 )
 from .reduction2d import compositions, z2d_oracle, z2d_product, z2d_reduction
 from .verify import VerificationReport, run_suites
@@ -61,7 +59,6 @@ __all__ = [
     "ZCache",
     "compositions",
     "enumerate_paths",
-    "evaluate",
     "exp_bound",
     "fluctuation_distribution",
     "markov_decompose",
@@ -73,12 +70,10 @@ __all__ = [
     "point_prob",
     "ratio_bound_check",
     "run_suites",
-    "sample_path",
     "spin_down_bound",
     "spin_down_prob",
     "spin_up_bound",
     "spin_up_prob",
-    "tail_bound",
     "z2d_oracle",
     "z2d_product",
     "z2d_reduction",

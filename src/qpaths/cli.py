@@ -9,8 +9,8 @@ flag.  Exit codes: 0 success, 1 verification failure, 2 usage or
 precondition error.
 
 A sweep file (``--sweep``) holds lines ``flag = value, value, ...``; the
-cartesian product of all listed flags is run, one JSON line per grid point,
-concurrently up to ``--jobs`` but emitted in grid order.
+cartesian product of all listed flags is run in grid order, one JSON line
+per grid point.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import itertools
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -52,8 +51,15 @@ def _make_cache() -> ZCache:
     return ZCache(max_entries=int(raw) if raw else None)
 
 
+def _fraction(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"q must be a rational with a nonzero denominator, got {text}") from None
+
+
 def _parse_q(text: str, as_float: bool):
-    value = float(text) if as_float else Fraction(text)
+    value = float(text) if as_float else _fraction(text)
     if not 0 < value < 1:
         raise DomainError(f"q must lie strictly in (0, 1), got {text}")
     return value
@@ -194,9 +200,8 @@ def _run_fluctuations(args) -> tuple:
 
 
 def _run_sample(args) -> tuple:
-    cache = _make_cache()
     q = _parse_q(args.q, False)
-    sampler = PathSampler(args.n, args.m, q, args.seed, cache)
+    sampler = PathSampler(args.n, args.m, q, args.seed)
     lines = [sampler.draw().to_text() for _ in range(args.count)]
     config = {"n": args.n, "m": args.m, "q": args.q, "count": args.count, "seed": args.seed}
     return 0, _envelope("sample", config, "exact", {"paths": lines}), None
@@ -238,7 +243,7 @@ def _run_reduce2d(args) -> tuple:
 
 def cmd_verify(args) -> int:
     cache = _make_cache()
-    q_grid = [Fraction(tok) for tok in args.q_grid.split(",")]
+    q_grid = [_fraction(tok) for tok in args.q_grid.split(",")]
     report = run_suites(
         [args.suite],
         max_nm=args.max_nm,
@@ -287,16 +292,20 @@ cmd_reduce2d = _make_emitting_command(_run_reduce2d)
 
 
 def _read_sweep_file(path: str) -> dict[str, list[str]]:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ValueError(f"cannot read sweep file {path}: {exc.strerror}") from None
     grid: dict[str, list[str]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            name, _, values = line.partition("=")
-            if not _:
-                raise ValueError(f"bad sweep line {raw!r}; expected 'flag = v1, v2'")
-            grid[name.strip()] = [v.strip() for v in values.split(",") if v.strip()]
+    for raw in text.splitlines(keepends=True):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        name, _, values = line.partition("=")
+        if not _:
+            raise ValueError(f"bad sweep line {raw!r}; expected 'flag = v1, v2'")
+        grid[name.strip()] = [v.strip() for v in values.split(",") if v.strip()]
     if not grid:
         raise ValueError(f"sweep file {path} declares no flags")
     return grid
@@ -320,23 +329,17 @@ def _strip_token(tokens: list[str], flag: str) -> list[str]:
 
 def _run_sweep(parser: argparse.ArgumentParser, argv: list[str], args) -> int:
     grid = _read_sweep_file(args.sweep)
-    base = _strip_token(_strip_token(list(argv), "--sweep"), "--jobs")
+    base = _strip_token(list(argv), "--sweep")
     names = list(grid)
-    points = list(itertools.product(*(grid[name] for name in names)))
-
-    def run_point(values: tuple[str, ...]) -> tuple[int, str]:
+    worst = 0
+    for values in itertools.product(*(grid[name] for name in names)):
         tokens = list(base)
         for name, value in zip(names, values):
             tokens += [f"--{name}", value]
         point_args = parser.parse_args(tokens)
         code, envelope, _ = point_args.run(point_args)
-        return code, json.dumps(envelope, sort_keys=True, separators=(",", ":")) + "\n"
-
-    worst = 0
-    with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
-        for code, line in pool.map(run_point, points):
-            sys.stdout.write(line)
-            worst = max(worst, code)
+        sys.stdout.write(json.dumps(envelope, sort_keys=True, separators=(",", ":")) + "\n")
+        worst = max(worst, code)
     return worst
 
 
@@ -349,7 +352,6 @@ def _add_format(sub, choices=("json", "csv"), default="json"):
 
 def _add_sweep(sub):
     sub.add_argument("--sweep", metavar="FILE", help="sweep-grid config file")
-    sub.add_argument("--jobs", type=int, default=1, help="concurrent sweep jobs")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -365,7 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     group = p.add_mutually_exclusive_group()
-    group.add_argument("--closed", action="store_true", help="closed product form (default)")
     group.add_argument("--recursive", action="store_true", help="corner recursion")
     group.add_argument("--oracle", action="store_true", help="brute-force enumeration")
     p.add_argument("--eval", metavar="Q", help="also evaluate at q")

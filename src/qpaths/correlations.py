@@ -4,11 +4,14 @@ window fluctuation distribution, and an exact path sampler.
 Spin configurations and paths are in bijection: site x of the chain carries a
 down spin exactly when step x of the path is horizontal.  Every probability
 here is therefore a ratio of weighted path sums and is returned as a
-:class:`~qpaths.qpoly.QRational`, exact in q.  Joint probabilities are
-computed by cutting the path on the anti-diagonal through each constrained
-site and summing products of boxed partition functions over the admissible
-crossing points; the cut factorization makes the nested sums unambiguous and
-is tested against brute-force configuration sums.
+:class:`~qpaths.qpoly.QRational`, exact in q.
+
+A configuration with n down spins is an n-subset of the sites 1..L, weighted
+by q^(2x) per down site x, so Z(n, L-n) = e_n(q^2, ..., q^(2L)) is the
+coefficient of z^n in E(z) = prod_x (1 + z q^(2x)).  Fixing the spins at a
+set of sites removes their factors from E(z): every joint spin probability
+is read off E(z) deflated by those factors (``_constrained_prob``), and is
+tested against brute-force configuration sums.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .errors import DomainError, InconsistentQuery, RangeError
 from .partition import SectorSpec, ZCache, z_cached, z_generalized
@@ -82,28 +85,31 @@ def point_prob(n: int, m: int, x: int, y: int, cache: Optional[ZCache] = None) -
     return QRational(num, z_cached(n, m, cache))
 
 
-def _crossing_step(x: int, spin: str, j: int) -> tuple[tuple[int, int], tuple[int, int], int]:
-    """Geometry of the constrained step at site x when j of the first x steps
-    are horizontal: (start point, end point, weight exponent of the step)."""
-    if spin == SPIN_DOWN:
-        return (j - 1, x - j), (j, x - j), 2 * x
-    return (j, x - j - 1), (j, x - j), 0
+def _constrained_prob(
+    n: int, m: int, sites: Sequence[int], downs: Sequence[int], cache: Optional[ZCache]
+) -> QRational:
+    """Probability that the spins at ``sites`` are down exactly at ``downs``.
+
+    With v = |downs|, the numerator is q^(2 sum(downs)) times the coefficient
+    of z^(n-v) in E(z) / prod_{c in sites} (1 + z q^(2c)).  Each division is
+    the recurrence f_j <- f_j - q^(2c) f_(j-1) on the row f_j = Z(j, L-j),
+    j <= n-v.  The numerator is an exact zero when the counts do not fit.
+    """
+    k = n - len(downs)
+    if k < 0:
+        return QRational(QPoly.zero(), z_cached(n, m, cache))
+    row = [z_cached(j, n + m - j, cache) for j in range(k + 1)]
+    for c in sites:
+        for j in range(1, k + 1):
+            row[j] = row[j] - row[j - 1].shift(2 * c)
+    return QRational(row[k].shift(2 * sum(downs)), z_cached(n, m, cache))
 
 
 def spin_down_prob(n: int, m: int, x: int, cache: Optional[ZCache] = None) -> QRational:
-    """Exact probability that the spin at site x is down.
-
-    Sums, over all lattice points (j, x-j) on the diagonal through x, the
-    weight of paths whose x-th step is the horizontal bond into (j, x-j).
-    """
+    """Exact probability that the spin at site x is down."""
     if not 1 <= x <= n + m:
         raise RangeError(f"site {x} outside [1, {n + m}]")
-    num = QPoly.zero()
-    for j in range(max(1, x - m), min(n, x) + 1):
-        head = z_cached(j - 1, x - j, cache)
-        tail = z_generalized(BoxSpec(j, x - j, n, m), cache)
-        num = num + (head * tail).shift(2 * x)
-    return QRational(num, z_cached(n, m, cache))
+    return _constrained_prob(n, m, (x,), (x,), cache)
 
 
 def spin_up_prob(n: int, m: int, x: int, cache: Optional[ZCache] = None) -> QRational:
@@ -132,12 +138,7 @@ def pair_down_up_prob(n: int, m: int, x: int, cache: Optional[ZCache] = None) ->
     """Exact probability of a down spin at x followed by an up spin at x+1."""
     if not 1 <= x < n + m:
         raise RangeError(f"pair site {x} outside [1, {n + m - 1}]")
-    num = QPoly.zero()
-    for j in range(max(1, x + 1 - m), min(n, x) + 1):
-        head = z_cached(j - 1, x - j, cache)
-        tail = z_generalized(BoxSpec(j, x - j + 1, n, m), cache)
-        num = num + (head * tail).shift(2 * x)
-    return QRational(num, z_cached(n, m, cache))
+    return _constrained_prob(n, m, (x, x + 1), (x,), cache)
 
 
 def pair_down_up_bound(n: int, m: int, x: int, q: Scalar) -> Scalar:
@@ -161,10 +162,10 @@ def pair_down_up_bound(n: int, m: int, x: int, q: Scalar) -> Scalar:
 def multipoint_prob(query: CorrelationQuery, cache: Optional[ZCache] = None) -> QRational:
     """Exact joint probability of the queried spin assignment.
 
-    Cuts the path at the diagonal through each constrained site, constrains
-    the crossing step's direction there, and sums products of boxed partition
-    functions over all admissible crossing points.  Positional infeasibility
-    yields an exact zero; impossible global counts raise InconsistentQuery.
+    Deflates the elementary-symmetric generating function by the factor of
+    each constrained site (see ``_constrained_prob``).  Impossible global
+    counts raise InconsistentQuery; every other query has a nonzero
+    probability, since any placement of the remaining spins is a path.
     """
     n, m = query.sector.n, query.sector.m
     if query.down_count > n:
@@ -173,29 +174,8 @@ def multipoint_prob(query: CorrelationQuery, cache: Optional[ZCache] = None) -> 
         raise InconsistentQuery(
             f"{len(query.sites) - query.down_count} up spins requested but sector has m={m}"
         )
-    states: dict[tuple[int, int], QPoly] = {}
-    for k, (x, spin) in enumerate(zip(query.sites, query.spins)):
-        new_states: dict[tuple[int, int], QPoly] = {}
-        for j in range(n + 1):
-            start, end, exp = _crossing_step(x, spin, j)
-            if start[0] < 0 or start[1] < 0 or end[0] > n or end[1] > m:
-                continue
-            if k == 0:
-                contrib = z_cached(start[0], start[1], cache).shift(exp)
-            else:
-                contrib = QPoly.zero()
-                for prev, acc in states.items():
-                    if prev[0] <= start[0] and prev[1] <= start[1]:
-                        seg = z_generalized(BoxSpec(prev[0], prev[1], start[0], start[1]), cache)
-                        contrib = contrib + acc * seg
-                contrib = contrib.shift(exp)
-            if not contrib.is_zero:
-                new_states[end] = new_states.get(end, QPoly.zero()) + contrib
-        states = new_states
-    num = QPoly.zero()
-    for end, acc in states.items():
-        num = num + acc * z_generalized(BoxSpec(end[0], end[1], n, m), cache)
-    return QRational(num, z_cached(n, m, cache))
+    downs = [x for x, spin in zip(query.sites, query.spins) if spin == SPIN_DOWN]
+    return _constrained_prob(n, m, query.sites, downs, cache)
 
 
 def exp_bound(query: CorrelationQuery, q: Scalar) -> Scalar:
@@ -318,11 +298,6 @@ class TailBound:
         return q ** (self.l * (self.l - 1)) / math.factorial(self.l) * bracket**self.l * exp_lower
 
 
-def tail_bound(q: Scalar, L: int, l: int) -> float:
-    """Float value of :class:`TailBound`."""
-    return TailBound(q, L, l).value
-
-
 # -- exact sampling -------------------------------------------------------------
 
 
@@ -351,15 +326,17 @@ class PathSampler:
     """Draws monotone paths to (n, m) exactly from the weight distribution
     w(p)/Z(n, m).
 
-    Walks backwards from (n, m): the last step was vertical with probability
-    Z(n, m-1)/Z(n, m), horizontal with probability q^(2(n+m)) Z(n-1, m)/Z(n, m)
-    (the two summands of the corner recursion).  Thresholds are exact
-    rationals compared against a deterministic seeded bit stream, so the
-    target distribution is exact and runs are reproducible.  Each sampler
-    owns its random stream; concurrent sampling needs independent seeds.
+    Walks backwards from (i, j) = (n, m): the last step was vertical with
+    probability Z(i, j-1)/Z(i, j), horizontal otherwise (the two summands of
+    the corner recursion).  By the neighbour-ratio identity that probability
+    is (1 - q^(2j)) / (1 - q^(2(i+j))), so no partition function is built.
+    Thresholds are exact rationals compared against a deterministic seeded
+    bit stream, so the target distribution is exact and runs are
+    reproducible.  Each sampler owns its random stream; concurrent sampling
+    needs independent seeds.
     """
 
-    def __init__(self, n: int, m: int, q: Fraction, seed: int, cache: Optional[ZCache] = None):
+    def __init__(self, n: int, m: int, q: Fraction, seed: int):
         if n < 0 or m < 0:
             raise ValueError(f"negative sector ({n},{m})")
         q = Fraction(q)
@@ -369,22 +346,17 @@ class PathSampler:
         self.m = m
         self.q = q
         self._rng = random.Random(seed)
-        self._cache = cache
-        self._zvals: dict[tuple[int, int], Fraction] = {}
 
-    def _z_at(self, i: int, j: int) -> Fraction:
-        val = self._zvals.get((i, j))
-        if val is None:
-            val = Fraction(z_cached(i, j, self._cache).evaluate(self.q))
-            self._zvals[(i, j)] = val
-        return val
+    def _p_vertical(self, i: int, j: int) -> Fraction:
+        """Z(i, j-1)/Z(i, j) at q, for i, j >= 1."""
+        q2 = self.q * self.q
+        return (1 - q2**j) / (1 - q2 ** (i + j))
 
     def draw(self) -> Path:
         i, j = self.n, self.m
         reversed_steps = []
         while i > 0 and j > 0:
-            p_vertical = self._z_at(i, j - 1) / self._z_at(i, j)
-            if _bernoulli_exact(self._rng, p_vertical):
+            if _bernoulli_exact(self._rng, self._p_vertical(i, j)):
                 reversed_steps.append(UP)
                 j -= 1
             else:
@@ -392,8 +364,3 @@ class PathSampler:
                 i -= 1
         reversed_steps.extend(DOWN * i + UP * j)
         return Path((0, 0), "".join(reversed(reversed_steps)))
-
-
-def sample_path(n: int, m: int, q: Fraction, seed: int, cache: Optional[ZCache] = None) -> Path:
-    """One exact draw from w(p)/Z(n, m), deterministic in the seed."""
-    return PathSampler(n, m, q, seed, cache).draw()

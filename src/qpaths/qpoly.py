@@ -241,10 +241,16 @@ class QRational:
             raise ZeroDivisionError("QRational denominator is the zero polynomial")
 
     def evaluate(self, q: Scalar) -> Scalar:
-        d = self.den.evaluate(q)
+        num, den = self.num, self.den
+        if not isinstance(q, Fraction):
+            # The lowest power of q can underflow a float on its own where
+            # the ratio is well inside range, so divide it out of both first.
+            v = min(p.min_exponent() for p in (num, den) if p)
+            num, den = (QPoly((e - v, c) for e, c in p.terms()) for p in (num, den))
+        d = den.evaluate(q)
         if d == 0:
             raise ZeroDivisionError(f"denominator vanishes at q={q}")
-        return self.num.evaluate(q) / d
+        return num.evaluate(q) / d
 
     def complement(self) -> QRational:
         """1 - self, over the same denominator."""
@@ -264,11 +270,6 @@ class QRational:
 
     def __str__(self) -> str:
         return f"({self.num}) / ({self.den})"
-
-
-def evaluate(value: QPoly | QRational, q: Scalar) -> Scalar:
-    """Evaluate a QPoly or QRational at q (exact for Fraction q)."""
-    return value.evaluate(q)
 
 
 @dataclass(frozen=True)

@@ -28,8 +28,8 @@ class TestPartition:
 
     def test_methods_agree(self, capsys):
         outputs = []
-        for flag in ("--closed", "--recursive", "--oracle"):
-            code, out = run_cli(["partition", "--n", "3", "--m", "2", flag], capsys)
+        for flags in ([], ["--recursive"], ["--oracle"]):
+            code, out = run_cli(["partition", "--n", "3", "--m", "2", *flags], capsys)
             assert code == 0
             outputs.append(json.loads(out)["result"]["polynomial"])
         assert outputs[0] == outputs[1] == outputs[2]
@@ -68,6 +68,24 @@ class TestPartition:
         code = main(["partition", "--n", "1", "--m", "1", "--eval", "3/2"])
         assert code == 2
         assert "q must lie strictly in (0, 1)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["partition", "--n", "1", "--m", "1", "--eval", "1/0"],
+        ["correlate", "--n", "1", "--m", "1", "--sites", "2:down", "--eval", "1/0"],
+        ["fluctuations", "--N", "4", "--L", "2", "--q", "1/0"],
+        ["sample", "--n", "1", "--m", "1", "--q", "1/0", "--seed", "0"],
+        ["verify", "identities", "--q-grid", "1/2,1/0"],
+        ["partition", "--n", "1", "--m", "1", "--sweep", "no-such-sweep-file.cfg"],
+    ],
+)
+def test_bad_rational_or_sweep_file_is_a_diagnostic(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
 
 
 class TestCorrelate:
@@ -208,7 +226,7 @@ class TestSweep:
     def test_grid_over_sectors(self, tmp_path, capsys):
         grid = tmp_path / "grid.cfg"
         grid.write_text("n = 1, 2\nm = 1, 2  # endpoint\n", encoding="utf-8")
-        argv = ["partition", "--n", "0", "--m", "0", "--sweep", str(grid), "--jobs", "2"]
+        argv = ["partition", "--n", "0", "--m", "0", "--sweep", str(grid)]
         code, out = run_cli(argv, capsys)
         assert code == 0
         lines = out.splitlines()

@@ -3,6 +3,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qpaths.correlations import (
     SPIN_DOWN,
@@ -19,16 +21,14 @@ from qpaths.correlations import (
     pair_down_up_bound,
     pair_down_up_prob,
     point_prob,
-    sample_path,
     site_bound_regime,
     spin_down_bound,
     spin_down_prob,
     spin_up_bound,
     spin_up_prob,
-    tail_bound,
 )
 from qpaths.errors import DomainError, InconsistentQuery, RangeError
-from qpaths.partition import SectorSpec, z_closed
+from qpaths.partition import SectorSpec, ZCache, z_closed
 from qpaths.qpoly import QPoly, QRational
 
 HALF = Fraction(1, 2)
@@ -352,19 +352,19 @@ class TestTailBound:
     def test_explicit_value(self):
         q = 0.5
         expected = (q**5 / (1 - q**2)) * math.exp(q**7 / (1 - q**2))
-        assert tail_bound(q, 4, 1) == pytest.approx(expected, rel=1e-12)
+        assert TailBound(q, 4, 1).value == pytest.approx(expected, rel=1e-12)
 
     def test_monotone_in_l_and_window(self):
         for q in (0.2, 0.5, 0.8):
             for L in (2, 4, 6):
-                values = [tail_bound(q, L, l) for l in range(1, 6)]
+                values = [TailBound(q, L, l).value for l in range(1, 6)]
                 assert values == sorted(values, reverse=True)
             for l in (1, 2, 3):
-                values = [tail_bound(q, L, l) for L in (2, 4, 6, 8)]
+                values = [TailBound(q, L, l).value for L in (2, 4, 6, 8)]
                 assert values == sorted(values, reverse=True)
 
     def test_decays_to_zero(self):
-        assert tail_bound(0.5, 4, 40) < 1e-200
+        assert TailBound(0.5, 4, 40).value < 1e-200
 
     def test_rational_lower_is_a_lower_bound(self):
         # the exp factor is truncated below, so the rational value sits just
@@ -391,11 +391,11 @@ class TestTailBound:
 class TestSampler:
     def test_degenerate_sectors(self):
         for seed in range(5):
-            assert sample_path(0, 4, HALF, seed).steps == "VVVV"
-            assert sample_path(3, 0, HALF, seed).steps == "HHH"
+            assert PathSampler(0, 4, HALF, seed).draw().steps == "VVVV"
+            assert PathSampler(3, 0, HALF, seed).draw().steps == "HHH"
 
     def test_deterministic_given_seed(self):
-        a = [sample_path(4, 4, HALF, 123) for _ in range(3)]
+        a = [PathSampler(4, 4, HALF, 123).draw() for _ in range(3)]
         sampler = PathSampler(4, 4, HALF, 99)
         b = [sampler.draw() for _ in range(5)]
         sampler2 = PathSampler(4, 4, HALF, 99)
@@ -419,3 +419,56 @@ class TestSampler:
     def test_rejects_float_q(self):
         with pytest.raises((DomainError, ValueError)):
             PathSampler(2, 2, 1.5, 0)
+
+
+# -- properties at sizes past the enumeration cap ---------------------------------
+
+
+@st.composite
+def marginal_cases(draw):
+    """A sector up to 30x30, an assignment A and a site y outside A such that
+    both extensions of A at y have feasible spin counts."""
+    n, m = draw(st.integers(1, 30)), draw(st.integers(1, 30))
+    downs = draw(st.integers(0, min(n - 1, 4)))
+    ups = draw(st.integers(0, min(m - 1, 4)))
+    assume(downs + ups >= 1)
+    order = draw(st.permutations(range(1, n + m + 1)))
+    assignment = [(x, SPIN_DOWN) for x in order[:downs]]
+    assignment += [(x, SPIN_UP) for x in order[downs : downs + ups]]
+    return n, m, assignment, order[downs + ups]
+
+
+@settings(max_examples=40, deadline=None)
+@given(marginal_cases())
+def test_marginalisation_over_one_site(case):
+    n, m, assignment, y = case
+    cache = ZCache()
+    whole = multipoint_prob(CorrelationQuery.build(n, m, assignment), cache)
+    down = multipoint_prob(CorrelationQuery.build(n, m, assignment + [(y, SPIN_DOWN)]), cache)
+    up = multipoint_prob(CorrelationQuery.build(n, m, assignment + [(y, SPIN_UP)]), cache)
+    assert whole.den == down.den == up.den == z_closed(n, m)
+    assert whole.num == down.num + up.num
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 30), st.integers(0, 30))
+def test_down_probabilities_sum_to_the_down_count(n, m):
+    assume(n + m >= 1)
+    cache = ZCache()
+    z = z_closed(n, m)
+    total = QPoly.zero()
+    for x in range(1, n + m + 1):
+        prob = spin_down_prob(n, m, x, cache)
+        assert prob.den == z
+        total = total + prob.num
+    assert total == QPoly({e: n * c for e, c in z.terms()})
+
+
+@given(
+    st.integers(1, 12),
+    st.integers(1, 12),
+    st.fractions(min_value=0, max_value=1, max_denominator=60).filter(lambda q: 0 < q < 1),
+)
+def test_sampler_threshold_is_the_partition_ratio(i, j, q):
+    expected = z_closed(i, j - 1).evaluate(q) / z_closed(i, j).evaluate(q)
+    assert PathSampler(i, j, q, 0)._p_vertical(i, j) == expected

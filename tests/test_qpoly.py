@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qpaths.errors import DomainError
-from qpaths.qpoly import ModelParameters, QPoly, QRational, evaluate
+from qpaths.qpoly import ModelParameters, QPoly, QRational
 
 
 def P(pairs):
@@ -88,7 +88,13 @@ class TestEvaluate:
         assert r.evaluate(Fraction(1, 2)) == Fraction(4, 5)
 
     def test_float_constant(self):
-        assert evaluate(QPoly.one(), 0.999) == 1.0
+        assert QPoly.one().evaluate(0.999) == 1.0
+
+    def test_float_ratio_survives_underflowing_powers(self):
+        # q^1100 alone is below the float range at q = 1/2; the ratio is 4/5
+        r = QRational(P({1100: 1}), P({1100: 1, 1102: 1}))
+        assert r.evaluate(0.5) == pytest.approx(0.8, rel=1e-15)
+        assert r.evaluate(Fraction(1, 2)) == Fraction(4, 5)
 
     def test_rational_zero_denominator(self):
         r = QRational(QPoly.one(), P({0: 1, 1: -1}))
