@@ -1,21 +1,25 @@
 """Command-line front end.
 
-Every subcommand prints a JSON envelope {command, config, library_version,
-q_mode, result} with sorted keys, so identical invocations produce byte-
-identical output; ``--format csv`` prints the tabular part of the result as
-CSV instead.  ``sample`` emits plain path-text lines by default.  Exact q
-values are given as rationals ("1/2"); floats require the explicit --float
-flag.  Exit codes: 0 success, 1 verification failure, 2 usage or
-precondition error.
+Every subcommand is one ``run(args) -> (code, envelope, table)`` function;
+``_emit`` prints its result.  The envelope {command, config,
+library_version, q_mode, result} is printed as JSON with sorted keys, so
+identical invocations produce byte-identical output; ``--format csv`` prints
+the tabular part of the result as CSV instead.  ``sample`` emits plain
+path-text lines by default.  Exact q values are given as rationals ("1/2");
+floats require the explicit --float flag.  Exact values print in full,
+whatever their length.  Exit codes: 0 success, 1 verification failure,
+2 usage or precondition error.
 
 A sweep file (``--sweep``) holds lines ``flag = value, value, ...``; the
-cartesian product of all listed flags is run in grid order, one JSON line
-per grid point.
+cartesian product of all listed flags is run in grid order, one compact
+JSON line per grid point (``--format`` does not apply).  A swept flag needs
+no value on the command line; one given there is overridden by the grid.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import itertools
 import json
@@ -85,13 +89,36 @@ def _envelope(command: str, config: dict, q_mode: Optional[str], result) -> dict
     }
 
 
+@contextlib.contextmanager
+def _any_length_ints():
+    """Lift the int-to-str digit limit (Python 3.10.7+) while output is written."""
+    old = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit, or Python < 3.10.7
+    set_limit = sys.set_int_max_str_digits if old else (lambda _: None)
+    set_limit(0)
+    try:
+        yield
+    finally:
+        set_limit(old)
+
+
 def _emit(args, envelope: dict, table: Optional[tuple[list[str], list[list]]]):
-    if getattr(args, "format", "json") == "csv" and table is not None:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(table[0])
-        writer.writerows(table[1])
-    else:
-        print(json.dumps(envelope, sort_keys=True, indent=2))
+    """Print one result: a compact JSON line for a sweep point, else in ``--format``.
+
+    Exact values arrive as Fractions and are written out as strings here,
+    with the int-to-str digit limit lifted, so any length prints.
+    """
+    with _any_length_ints():
+        if getattr(args, "sweep", None):
+            print(json.dumps(envelope, sort_keys=True, separators=(",", ":"), default=str))
+        elif args.format == "csv":
+            writer = csv.writer(sys.stdout, lineterminator="\n")
+            writer.writerow(table[0])
+            writer.writerows(table[1])
+        elif args.format == "text":
+            for line in envelope["result"]["paths"]:
+                print(line)
+        else:
+            print(json.dumps(envelope, sort_keys=True, indent=2, default=str))
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -110,13 +137,10 @@ def _run_partition(args) -> tuple:
         method = "closed"
     q = _parse_q(args.eval, args.float) if args.eval is not None else None
     q_mode = None if q is None else ("float" if args.float else "exact")
-    result = {"polynomial": poly.to_json_obj(), "value": None}
-    if q is not None:
-        value = poly.evaluate(q)
-        result["value"] = str(value) if isinstance(value, Fraction) else value
+    terms = poly.to_json_obj()
+    result = {"polynomial": terms, "value": None if q is None else poly.evaluate(q)}
     config = {"n": args.n, "m": args.m, "method": method, "eval": args.eval}
-    table = (["exponent", "coefficient"], [[e, c] for e, c in poly.to_json_obj()])
-    return 0, _envelope("partition", config, q_mode, result), table
+    return 0, _envelope("partition", config, q_mode, result), (["exponent", "coefficient"], terms)
 
 
 def _run_correlate(args) -> tuple:
@@ -137,14 +161,8 @@ def _run_correlate(args) -> tuple:
         p = prob.evaluate(q)
         b = exp_bound(query, q)
         checks.append(
-            {
-                "q": str(q),
-                "probability": str(p) if isinstance(p, Fraction) else p,
-                "probability_float": float(p),
-                "bound": str(b) if isinstance(b, Fraction) else b,
-                "bound_float": float(b),
-                "holds": bool(p <= b),
-            }
+            {"q": str(q), "probability": p, "probability_float": float(p),
+             "bound": b, "bound_float": float(b), "holds": bool(p <= b)}
         )
     result = {
         "probability": prob.to_json_obj(),
@@ -153,18 +171,9 @@ def _run_correlate(args) -> tuple:
         "bound_holds": all(c["holds"] for c in checks),
         "in_regime": in_regime,
     }
-    config = {
-        "n": args.n,
-        "m": args.m,
-        "sites": args.sites,
-        "eval": args.eval,
-        "exact": args.exact,
-    }
+    config = {"n": args.n, "m": args.m, "sites": args.sites, "eval": args.eval, "exact": args.exact}
     header = ["q", "probability", "probability_float", "bound", "bound_float", "holds", "in_regime"]
-    rows = [
-        [c["q"], c["probability"], c["probability_float"], c["bound"], c["bound_float"], c["holds"], in_regime]
-        for c in checks
-    ]
+    rows = [[*c.values(), in_regime] for c in checks]
     return 0, _envelope("correlate", config, q_mode, result), (header, rows)
 
 
@@ -177,25 +186,11 @@ def _run_fluctuations(args) -> tuple:
     for l, prob in sorted(dist.items()):
         p = prob.evaluate(q)
         tail = TailBound(q, fq.L, abs(l)).value if l != 0 else None
-        rows.append(
-            {
-                "l": l,
-                "probability": str(p) if isinstance(p, Fraction) else p,
-                "probability_float": float(p),
-                "tail_bound": tail,
-            }
-        )
-    result = {
-        "sector": [fq.sector.n, fq.sector.m],
-        "window": list(fq.window),
-        "distribution": rows,
-    }
+        rows.append({"l": l, "probability": p, "probability_float": float(p), "tail_bound": tail})
+    result = {"sector": [fq.sector.n, fq.sector.m], "window": list(fq.window), "distribution": rows}
     config = {"N": args.N, "L": args.L, "q": args.q}
     q_mode = "float" if args.float else "exact"
-    table = (
-        ["l", "probability", "probability_float", "tail_bound"],
-        [[r["l"], r["probability"], r["probability_float"], r["tail_bound"]] for r in rows],
-    )
+    table = (["l", "probability", "probability_float", "tail_bound"], [list(r.values()) for r in rows])
     return 0, _envelope("fluctuations", config, q_mode, result), table
 
 
@@ -205,16 +200,6 @@ def _run_sample(args) -> tuple:
     lines = [sampler.draw().to_text() for _ in range(args.count)]
     config = {"n": args.n, "m": args.m, "q": args.q, "count": args.count, "seed": args.seed}
     return 0, _envelope("sample", config, "exact", {"paths": lines}), None
-
-
-def cmd_sample(args) -> int:
-    code, envelope, _ = _run_sample(args)
-    if getattr(args, "format", "text") == "json":
-        print(json.dumps(envelope, sort_keys=True, indent=2))
-    else:
-        for line in envelope["result"]["paths"]:
-            print(line)
-    return code
 
 
 def _run_reduce2d(args) -> tuple:
@@ -241,7 +226,7 @@ def _run_reduce2d(args) -> tuple:
     return code, _envelope("reduce2d", config, None, result), (header, rows)
 
 
-def cmd_verify(args) -> int:
+def _run_verify(args) -> tuple:
     cache = _make_cache()
     q_grid = [_fraction(tok) for tok in args.q_grid.split(",")]
     report = run_suites(
@@ -269,23 +254,7 @@ def cmd_verify(args) -> int:
         [r["name"], r["instances"], r["failure_count"], r["informational"], r["failure_count"] == 0]
         for r in result["records"]
     ]
-    _emit(args, _envelope("verify", config, "exact", result), (header, rows))
-    return 0 if report.passed else 1
-
-
-def _make_emitting_command(run):
-    def command(args) -> int:
-        code, envelope, table = run(args)
-        _emit(args, envelope, table)
-        return code
-
-    return command
-
-
-cmd_partition = _make_emitting_command(_run_partition)
-cmd_correlate = _make_emitting_command(_run_correlate)
-cmd_fluctuations = _make_emitting_command(_run_fluctuations)
-cmd_reduce2d = _make_emitting_command(_run_reduce2d)
+    return (0 if report.passed else 1), _envelope("verify", config, "exact", result), (header, rows)
 
 
 # -- sweep runner ----------------------------------------------------------------
@@ -311,35 +280,29 @@ def _read_sweep_file(path: str) -> dict[str, list[str]]:
     return grid
 
 
-def _strip_token(tokens: list[str], flag: str) -> list[str]:
-    out = []
-    skip = False
-    for tok in tokens:
-        if skip:
-            skip = False
-            continue
-        if tok == flag:
-            skip = True
-            continue
-        if tok.startswith(flag + "="):
-            continue
-        out.append(tok)
-    return out
+def _sweep_file(argv: list[str]) -> Optional[str]:
+    """The ``--sweep`` file, read ahead of the full parse, which would demand the swept flags."""
+    flag = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    flag.add_argument("--sweep")
+    try:
+        return flag.parse_known_args(argv)[0].sweep
+    except argparse.ArgumentError:  # a bare --sweep; the full parse reports it
+        return None
 
 
-def _run_sweep(parser: argparse.ArgumentParser, argv: list[str], args) -> int:
-    grid = _read_sweep_file(args.sweep)
-    base = _strip_token(list(argv), "--sweep")
-    names = list(grid)
+def _run(args) -> int:
+    code, envelope, table = args.run(args)
+    _emit(args, envelope, table)
+    return code
+
+
+def _run_sweep(parser: argparse.ArgumentParser, argv: list[str], path: str) -> int:
+    """Run ``argv`` once per grid point, the point's flags appended (later flags win)."""
+    grid = _read_sweep_file(path)
     worst = 0
-    for values in itertools.product(*(grid[name] for name in names)):
-        tokens = list(base)
-        for name, value in zip(names, values):
-            tokens += [f"--{name}", value]
-        point_args = parser.parse_args(tokens)
-        code, envelope, _ = point_args.run(point_args)
-        sys.stdout.write(json.dumps(envelope, sort_keys=True, separators=(",", ":")) + "\n")
-        worst = max(worst, code)
+    for values in itertools.product(*grid.values()):
+        swept = [tok for name, value in zip(grid, values) for tok in (f"--{name}", value)]
+        worst = max(worst, _run(parser.parse_args(argv + swept)))
     return worst
 
 
@@ -374,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cap", type=int, default=1_000_000, help="enumeration cap for --oracle")
     _add_format(p)
     _add_sweep(p)
-    p.set_defaults(func=cmd_partition, run=_run_partition)
+    p.set_defaults(run=_run_partition)
 
     p = subs.add_parser("correlate", help="joint spin probability and its bound")
     p.add_argument("--n", type=int, required=True)
@@ -386,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--float", action="store_true", help="treat Q as a float")
     _add_format(p)
     _add_sweep(p)
-    p.set_defaults(func=cmd_correlate, run=_run_correlate)
+    p.set_defaults(run=_run_correlate)
 
     p = subs.add_parser("fluctuations", help="window spin distribution with tail bounds")
     p.add_argument("--N", type=int, required=True, help="even chain length")
@@ -395,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--float", action="store_true", help="treat q as a float")
     _add_format(p)
     _add_sweep(p)
-    p.set_defaults(func=cmd_fluctuations, run=_run_fluctuations)
+    p.set_defaults(run=_run_fluctuations)
 
     p = subs.add_parser("sample", help="exact path samples, one text line each")
     p.add_argument("--n", type=int, required=True)
@@ -405,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     _add_format(p, choices=("text", "json"), default="text")
     _add_sweep(p)
-    p.set_defaults(func=cmd_sample, run=_run_sample)
+    p.set_defaults(run=_run_sample)
 
     p = subs.add_parser("reduce2d", help="two-dimensional partition functions")
     p.add_argument("--N", type=int, required=True, help="sites per diagonal")
@@ -416,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check", action="store_true", help="cross-check all three computation routes")
     _add_format(p)
     _add_sweep(p)
-    p.set_defaults(func=cmd_reduce2d, run=_run_reduce2d)
+    p.set_defaults(run=_run_reduce2d)
 
     p = subs.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", choices=["identities", "bounds", "fluctuations", "all"])
@@ -427,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q-grid", default="1/5,1/2,4/5", dest="q_grid")
     p.add_argument("--seed", type=int, default=0)
     _add_format(p)
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(run=_run_verify)
 
     return parser
 
@@ -435,11 +398,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
-    args = parser.parse_args(argv)
+    sweep = _sweep_file(argv)
     try:
-        if getattr(args, "sweep", None):
-            return _run_sweep(parser, argv, args)
-        return args.func(args)
+        if sweep:
+            return _run_sweep(parser, argv, sweep)
+        return _run(parser.parse_args(argv))
     except (DomainError, RangeError, CapExceeded, InconsistentQuery, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

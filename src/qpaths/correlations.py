@@ -113,8 +113,10 @@ def spin_down_prob(n: int, m: int, x: int, cache: Optional[ZCache] = None) -> QR
 
 
 def spin_up_prob(n: int, m: int, x: int, cache: Optional[ZCache] = None) -> QRational:
-    """Exact probability that the spin at site x is up (1 - down)."""
-    return spin_down_prob(n, m, x, cache).complement()
+    """Exact probability that the spin at site x is up."""
+    if not 1 <= x <= n + m:
+        raise RangeError(f"site {x} outside [1, {n + m}]")
+    return _constrained_prob(n, m, (x,), (), cache)
 
 
 def spin_down_bound(n: int, m: int, x: int, q: Scalar) -> Scalar:

@@ -43,9 +43,10 @@ class SectorSpec:
 class ZCache:
     """Memo table (n, m) -> Z(n, m) with hit/miss statistics.
 
-    Concurrent readers are safe; insertion is serialized by a lock and a
-    cached value, once visible, is never replaced.  ``max_entries`` bounds
-    the table size (further values are computed but not stored).
+    One cache may be shared across threads: lookups, the hit/miss counters
+    and insertion are serialized by a lock (values are computed outside it),
+    and a cached value, once visible, is never replaced.  ``max_entries``
+    bounds the table size (further values are computed but not stored).
     """
 
     def __init__(self, max_entries: Optional[int] = None):
@@ -59,11 +60,12 @@ class ZCache:
         return len(self._data)
 
     def get_or_compute(self, key: tuple[int, int], compute: Callable[[], QPoly]) -> QPoly:
-        value = self._data.get(key)
-        if value is not None:
-            self.hits += 1
-            return value
-        self.misses += 1
+        with self._lock:
+            value = self._data.get(key)
+            if value is not None:
+                self.hits += 1
+                return value
+            self.misses += 1
         value = compute()
         with self._lock:
             if key not in self._data and (self.max_entries is None or len(self._data) < self.max_entries):

@@ -78,9 +78,6 @@ class QPoly:
     def __len__(self) -> int:
         return len(self._terms)
 
-    def coefficient(self, exp: int) -> int:
-        return self._terms.get(exp, 0)
-
     def min_exponent(self) -> int:
         if not self._terms:
             raise ValueError("zero polynomial has no minimum exponent")
@@ -167,40 +164,17 @@ class QPoly:
         out._terms = {e + k: c for e, c in self._terms.items()}
         return out
 
-    def divexact(self, divisor: QPoly) -> QPoly:
-        """Exact polynomial quotient; raises ArithmeticError on any remainder."""
-        if divisor.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = dict(self._terms)
-        dlead = divisor.max_exponent()
-        dcoeff = divisor.coefficient(dlead)
-        quot: dict[int, int] = {}
-        while rem:
-            rlead = max(rem)
-            if rlead < dlead:
-                raise ArithmeticError("inexact polynomial division (remainder)")
-            c, r = divmod(rem[rlead], dcoeff)
-            if r:
-                raise ArithmeticError("inexact polynomial division (coefficient)")
-            e = rlead - dlead
-            quot[e] = c
-            for de, dc in divisor._terms.items():
-                s = rem.get(de + e, 0) - dc * c
-                if s:
-                    rem[de + e] = s
-                elif de + e in rem:
-                    del rem[de + e]
-        out = QPoly()
-        out._terms = quot
-        return out
-
     # -- evaluation and serialization ----------------------------------------
 
     def evaluate(self, q: Scalar) -> Scalar:
-        """Value at q.  Exact when q is a Fraction, float otherwise."""
+        """Value at q.  Exact when q is a Fraction, float otherwise.
+
+        Floats are summed in exponent order, so equal polynomials give equal
+        floats however they were built.
+        """
         if isinstance(q, Fraction):
             return sum((c * q**e for e, c in self._terms.items()), Fraction(0))
-        return float(sum(c * q**e for e, c in self._terms.items()))
+        return float(sum(c * q**e for e, c in self.terms()))
 
     def to_json_obj(self) -> list[list]:
         """[[exponent, coefficient-as-decimal-string], ...] sorted by exponent."""
@@ -251,10 +225,6 @@ class QRational:
         if d == 0:
             raise ZeroDivisionError(f"denominator vanishes at q={q}")
         return num.evaluate(q) / d
-
-    def complement(self) -> QRational:
-        """1 - self, over the same denominator."""
-        return QRational(self.den - self.num, self.den)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QRational):

@@ -1,11 +1,13 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from qpaths.cli import main
+from qpaths.partition import z_closed
 
 DATA = Path(__file__).parent / "data"
 
@@ -63,6 +65,20 @@ class TestPartition:
         with pytest.raises(SystemExit) as err:
             main(["partition", "--n", "2"])
         assert err.value.code == 2
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int digit limit")
+    def test_exact_value_past_the_int_digit_limit(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        code, out = run_cli(["partition", "--n", "80", "--m", "80", "--eval", "1/2"], capsys)
+        assert code == 0
+        assert sys.get_int_max_str_digits() == limit
+        value = json.loads(out)["result"]["value"]
+        sys.set_int_max_str_digits(0)
+        try:
+            assert len(value) > 4300
+            assert Fraction(value) == z_closed(80, 80).evaluate(Fraction(1, 2))
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     def test_bad_q_is_a_diagnostic(self, capsys):
         code = main(["partition", "--n", "1", "--m", "1", "--eval", "3/2"])
@@ -233,6 +249,21 @@ class TestSweep:
         assert len(lines) == 4
         configs = [json.loads(line)["config"] for line in lines]
         assert [(c["n"], c["m"]) for c in configs] == [(1, 1), (1, 2), (2, 1), (2, 2)]
+
+    def test_swept_flag_needs_no_placeholder(self, tmp_path, capsys):
+        grid = tmp_path / "grid.cfg"
+        grid.write_text("n = 1, 2\n", encoding="utf-8")
+        code, out = run_cli(["partition", "--m", "1", "--sweep", str(grid)], capsys)
+        assert code == 0
+        configs = [json.loads(line)["config"] for line in out.splitlines()]
+        assert [(c["n"], c["m"]) for c in configs] == [(1, 1), (2, 1)]
+
+    def test_verify_takes_no_sweep(self, tmp_path, capsys):
+        grid = tmp_path / "grid.cfg"
+        grid.write_text("seed = 1, 2\n", encoding="utf-8")
+        with pytest.raises(SystemExit) as err:
+            main(["verify", "identities", "--sweep", str(grid)])
+        assert err.value.code == 2
 
     def test_sweep_deterministic(self, tmp_path, capsys):
         grid = tmp_path / "grid.cfg"

@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -472,3 +473,46 @@ def test_down_probabilities_sum_to_the_down_count(n, m):
 def test_sampler_threshold_is_the_partition_ratio(i, j, q):
     expected = z_closed(i, j - 1).evaluate(q) / z_closed(i, j).evaluate(q)
     assert PathSampler(i, j, q, 0)._p_vertical(i, j) == expected
+
+
+def exact_at(poly, q):
+    """poly(q) by integer Horner over the common denominator: the value of
+    ``poly.evaluate(q)`` without its Fraction addition per term, which takes
+    seconds at 60 x 60."""
+    terms = poly.terms()[::-1]
+    if not terms:
+        return Fraction(0)
+    a, b = q.numerator, q.denominator
+    (top, acc), low, b_power = terms[0], terms[0][0], 1
+    for e, c in terms[1:]:
+        b_power *= b ** (low - e)
+        acc = acc * a ** (low - e) + c * b_power
+        low = e
+    return Fraction(acc * a**low, b**top)
+
+
+@st.composite
+def site_queries(draw):
+    """A sector with n, m <= 60 and one to three constrained sites whose spins fit it."""
+    n, m = draw(st.integers(0, 60)), draw(st.integers(0, 60))
+    assume(n + m >= 1)
+    sites = draw(st.lists(st.integers(1, n + m), min_size=1, max_size=3, unique=True))
+    spins = draw(st.lists(st.sampled_from((SPIN_DOWN, SPIN_UP)), min_size=len(sites), max_size=len(sites)))
+    assume(spins.count(SPIN_DOWN) <= n and spins.count(SPIN_UP) <= m)
+    return n, m, list(zip(sites, spins))
+
+
+SHARED_CACHE = ZCache()
+
+
+@settings(max_examples=15, deadline=None)
+@given(site_queries(), st.sampled_from((Fraction(1, 2), Fraction(3, 4), Fraction(5, 8))))
+def test_float_probability_is_the_rounded_exact_value(case, q):
+    n, m, assignment = case
+    prob = multipoint_prob(CorrelationQuery.build(n, m, assignment), SHARED_CACHE)
+    exact = exact_at(prob.num, q) / exact_at(prob.den, q)
+    if n + m <= 16:
+        assert exact == prob.evaluate(q)
+    got, expected = prob.evaluate(float(q)), float(exact)
+    tiny = sys.float_info.min
+    assert math.isclose(got, expected, rel_tol=1e-12) or (abs(got) < tiny and abs(expected) < tiny)

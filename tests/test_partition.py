@@ -1,4 +1,5 @@
 import math
+import sys
 import threading
 from fractions import Fraction
 
@@ -256,6 +257,26 @@ class TestZCache:
         for t in threads:
             t.join()
         assert all(r == z_closed(6, 6) for r in results)
+
+    def test_counters_are_exact_under_thread_switching(self):
+        cache = ZCache()
+
+        def worker():
+            for i in range(2_000):
+                z_cached(i % 4, 2, cache)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(old)
+        assert cache.hits + cache.misses == 16_000
 
     def test_sector_spec(self):
         assert SectorSpec(2, 3).length == 5
