@@ -18,6 +18,7 @@ from .partition import (
     z_closed,
     z_generalized,
     z_recursive,
+    z_row,
 )
 from .correlations import (
     CorrelationQuery,
@@ -81,4 +82,5 @@ __all__ = [
     "z_closed",
     "z_generalized",
     "z_recursive",
+    "z_row",
 ]

@@ -19,7 +19,6 @@ no value on the command line; one given there is overridden by the grid.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import itertools
 import json
@@ -44,6 +43,7 @@ from .correlations import (
 from .errors import CapExceeded, DomainError, InconsistentQuery, RangeError
 from .partition import DEFAULT_Q_GRID, ZCache, z_cached, z_recursive
 from .paths import BoxSpec, oracle_partition
+from .qpoly import _any_length_ints
 from .reduction2d import compositions, z2d_oracle, z2d_product, z2d_reduction
 from .verify import run_suites
 
@@ -87,18 +87,6 @@ def _envelope(command: str, config: dict, q_mode: Optional[str], result) -> dict
         "q_mode": q_mode,
         "result": result,
     }
-
-
-@contextlib.contextmanager
-def _any_length_ints():
-    """Lift the int-to-str digit limit (Python 3.10.7+) while output is written."""
-    old = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit, or Python < 3.10.7
-    set_limit = sys.set_int_max_str_digits if old else (lambda _: None)
-    set_limit(0)
-    try:
-        yield
-    finally:
-        set_limit(old)
 
 
 def _emit(args, envelope: dict, table: Optional[tuple[list[str], list[list]]]):

@@ -11,7 +11,9 @@ by q^(2x) per down site x, so Z(n, L-n) = e_n(q^2, ..., q^(2L)) is the
 coefficient of z^n in E(z) = prod_x (1 + z q^(2x)).  Fixing the spins at a
 set of sites removes their factors from E(z): every joint spin probability
 is read off E(z) deflated by those factors (``_constrained_prob``), and is
-tested against brute-force configuration sums.
+tested against brute-force configuration sums.  The coefficients of E(z)
+come from ``z_row``, which builds Z(0, L), ..., Z(k, L-k) in one pass along
+the Gaussian binomials [L, j] instead of one closed form per entry.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .errors import DomainError, InconsistentQuery, RangeError
-from .partition import SectorSpec, ZCache, z_cached, z_generalized
+from .partition import SectorSpec, ZCache, z_cached, z_generalized, z_row
 from .paths import DOWN, UP, BoxSpec, Path
 from .qpoly import QPoly, QRational, Scalar
 
@@ -93,12 +95,13 @@ def _constrained_prob(
     With v = |downs|, the numerator is q^(2 sum(downs)) times the coefficient
     of z^(n-v) in E(z) / prod_{c in sites} (1 + z q^(2c)).  Each division is
     the recurrence f_j <- f_j - q^(2c) f_(j-1) on the row f_j = Z(j, L-j),
-    j <= n-v.  The numerator is an exact zero when the counts do not fit.
+    j <= n-v, taken from ``z_row``.  The numerator is an exact zero when
+    the counts do not fit.
     """
     k = n - len(downs)
     if k < 0:
         return QRational(QPoly.zero(), z_cached(n, m, cache))
-    row = [z_cached(j, n + m - j, cache) for j in range(k + 1)]
+    row = z_row(n + m, k, cache)
     for c in sites:
         for j in range(1, k + 1):
             row[j] = row[j] - row[j - 1].shift(2 * c)

@@ -10,6 +10,7 @@ in this package computable without enumeration.
 
 from __future__ import annotations
 
+import itertools
 import math
 import threading
 from dataclasses import dataclass
@@ -76,38 +77,70 @@ class ZCache:
 _DEFAULT_CACHE = ZCache()
 
 
+def _mul_div(coeffs: list[int], k: int, i: int) -> list[int]:
+    """Dense coeffs * (1 - p^k) / (1 - p^i), with the division checked exact.
+
+    The division is a running sum along each residue class mod i.  A nonzero
+    remainder raises, which catches any arithmetic slip at once.
+    """
+    padded = coeffs + [0] * k
+    out = padded[:k] + [x - y for x, y in zip(padded[k:], coeffs)]
+    size = len(out) - i
+    quo = [0] * size
+    for r in range(min(i, size)):
+        quo[r::i] = itertools.accumulate(out[r:size:i])
+    # out = quo * (1 - p^i) leaves out[size + t] = -quo[size + t - i], zero below index 0
+    if out[size:] != [-x for x in ([0] * i + quo)[-i:]]:
+        raise ArithmeticError(f"inexact division by (1 - q^{2 * i}) in closed form")
+    return quo
+
+
 def _gauss_coeffs(a: int, b: int) -> list[int]:
     """Dense coefficient list (index = power of q^2) of the Gaussian binomial [a+b, a].
 
     Built by the telescoping product: multiply by (1 - p^(b+i)) then divide
-    exactly by (1 - p^i) for i = 1..a.  Each division's remainder is checked
-    to be zero, which catches any arithmetic slip immediately.
+    exactly by (1 - p^i) for i = 1..a.
     """
     coeffs = [1]
     for i in range(1, a + 1):
-        k = b + i
-        n = len(coeffs)
-        out = coeffs + [0] * k
-        for j in range(n):
-            out[j + k] -= coeffs[j]
-        quo = [0] * (len(out) - i)
-        for j in range(len(quo)):
-            quo[j] = out[j] + (quo[j - i] if j >= i else 0)
-        for j in range(len(quo), len(out)):
-            if out[j] != -quo[j - i]:
-                raise ArithmeticError(f"inexact division by (1 - q^{2 * i}) in closed form")
-        coeffs = quo
+        coeffs = _mul_div(coeffs, b + i, i)
     return coeffs
+
+
+def _z_from_gauss(n: int, coeffs: list[int]) -> QPoly:
+    """q^(n(n+1)) times the polynomial in q^2 with the given dense coefficients."""
+    base = n * (n + 1)
+    return QPoly({base + 2 * j: c for j, c in enumerate(coeffs) if c})
 
 
 def z_closed(n: int, m: int) -> QPoly:
     """Closed-form Z(n, m) = q^(n(n+1)) * [n+m, n] in q^2, exactly."""
     if n < 0 or m < 0:
         raise ValueError(f"negative sector ({n},{m})")
-    base = n * (n + 1)
-    assert base % 2 == 0
-    coeffs = _gauss_coeffs(min(n, m), max(n, m))
-    return QPoly({base + 2 * j: c for j, c in enumerate(coeffs) if c})
+    return _z_from_gauss(n, _gauss_coeffs(min(n, m), max(n, m)))
+
+
+def z_row(length: int, k: int, cache: Optional[ZCache] = None) -> list[QPoly]:
+    """[Z(0, L), Z(1, L-1), ..., Z(k, L-k)] for L = length, in one pass.
+
+    Walks the row of Gaussian binomials [L, j] = [L, j-1] (1 - p^(L-j+1)) /
+    (1 - p^j), p = q^2, and publishes each Z(j, L-j) through the cache (the
+    shared module cache when none is given).  Only the entries up to the
+    last one missing from the cache are computed.
+    """
+    if not 0 <= k <= length:
+        raise ValueError(f"need 0 <= k <= L, got k={k}, L={length}")
+    cache = _DEFAULT_CACHE if cache is None else cache
+    done, coeffs = 0, [1]  # coeffs is [L, done], dense in p
+
+    def compute(j: int) -> QPoly:
+        nonlocal done, coeffs
+        for i in range(done + 1, j + 1):
+            coeffs = _mul_div(coeffs, length - i + 1, i)
+        done = j
+        return _z_from_gauss(j, coeffs)
+
+    return [cache.get_or_compute((j, length - j), lambda j=j: compute(j)) for j in range(k + 1)]
 
 
 def z_cached(n: int, m: int, cache: Optional[ZCache] = None) -> QPoly:

@@ -10,6 +10,12 @@ are Python ints, evaluation at a ``Fraction`` point produces a ``Fraction``
 with no rounding anywhere.  This makes polynomial identities and inequalities
 decidable, which the verification suites rely on.
 
+Exact evaluation at q = a/b is integer Horner: the terms are walked from the
+highest exponent down, multiplying by powers of a and b across exponent
+gaps, and one ``Fraction`` is built at the end, so a value costs one gcd
+rather than one per term.  A ratio scales its numerator and denominator to
+the same power of b and becomes one ``Fraction`` of two integers.
+
 Values are immutable after construction and safe to share across threads;
 every operation returns a new object.
 """
@@ -17,6 +23,8 @@ every operation returns a new object.
 from __future__ import annotations
 
 import math
+import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
@@ -24,6 +32,38 @@ from typing import Iterable, Mapping, Union
 from .errors import DomainError
 
 Scalar = Union[Fraction, float]
+
+
+@contextmanager
+def _any_length_ints():
+    """Lift the int/str conversion digit limit (Python 3.10.7+) inside the block."""
+    old = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit, or Python < 3.10.7
+    set_limit = sys.set_int_max_str_digits if old else (lambda _: None)
+    set_limit(0)
+    try:
+        yield
+    finally:
+        set_limit(old)
+
+
+def _horner(terms: tuple[tuple[int, int], ...], a: int, b: int, top: int) -> int:
+    """b^top * p(a/b) as an integer, for p given by its sorted terms and top >= deg p.
+
+    Integer Horner from the highest exponent down: across each gap g the
+    accumulator is multiplied by a^g and the power of b grows by b^g.  The
+    common factor a^low of every term is applied once at the end.
+    """
+    if not terms:
+        return 0
+    (low, acc), *rest = reversed(terms)
+    b_power = b ** (top - low)
+    acc *= b_power
+    for e, c in rest:
+        gap = low - e
+        b_power *= b**gap
+        acc = acc * a**gap + c * b_power
+        low = e
+    return acc * a**low
 
 
 class QPoly:
@@ -173,7 +213,8 @@ class QPoly:
         floats however they were built.
         """
         if isinstance(q, Fraction):
-            return sum((c * q**e for e, c in self._terms.items()), Fraction(0))
+            top = max(self._terms, default=0)
+            return Fraction(_horner(self.terms(), q.numerator, q.denominator, top), q.denominator**top)
         return float(sum(c * q**e for e, c in self.terms()))
 
     def to_json_obj(self) -> list[list]:
@@ -182,7 +223,9 @@ class QPoly:
 
     @classmethod
     def from_json_obj(cls, obj: Iterable) -> QPoly:
-        return cls((int(e), int(c)) for e, c in obj)
+        """Inverse of ``to_json_obj``; coefficients of any length parse."""
+        with _any_length_ints():
+            return cls((int(e), int(c)) for e, c in obj)
 
     def __str__(self) -> str:
         if not self._terms:
@@ -215,16 +258,33 @@ class QRational:
             raise ZeroDivisionError("QRational denominator is the zero polynomial")
 
     def evaluate(self, q: Scalar) -> Scalar:
+        """Value at q: one Fraction of two integers when q is a Fraction.
+
+        Both polynomials are scaled by the same b^top (q = a/b, top the
+        larger degree), so no Fraction arithmetic happens before the last
+        step.  At a float q where a term overflows the float range (a
+        coefficient past 1e308, say), the value is the rounded exact one.
+        """
         num, den = self.num, self.den
-        if not isinstance(q, Fraction):
-            # The lowest power of q can underflow a float on its own where
-            # the ratio is well inside range, so divide it out of both first.
-            v = min(p.min_exponent() for p in (num, den) if p)
-            num, den = (QPoly((e - v, c) for e, c in p.terms()) for p in (num, den))
-        d = den.evaluate(q)
+        if isinstance(q, Fraction):
+            a, b = q.numerator, q.denominator
+            top = max(p.max_exponent() for p in (num, den) if p)
+            d = _horner(den.terms(), a, b, top)
+            if d == 0:
+                raise ZeroDivisionError(f"denominator vanishes at q={q}")
+            return Fraction(_horner(num.terms(), a, b, top), d)
+        # The lowest power of q can underflow a float on its own where
+        # the ratio is well inside range, so divide it out of both first.
+        v = min(p.min_exponent() for p in (num, den) if p)
+        num, den = (QPoly((e - v, c) for e, c in p.terms()) for p in (num, den))
+        try:
+            d = den.evaluate(q)
+            n = num.evaluate(q)
+        except OverflowError:
+            return float(self.evaluate(Fraction(q)))
         if d == 0:
             raise ZeroDivisionError(f"denominator vanishes at q={q}")
-        return num.evaluate(q) / d
+        return n / d
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QRational):

@@ -476,9 +476,8 @@ def test_sampler_threshold_is_the_partition_ratio(i, j, q):
 
 
 def exact_at(poly, q):
-    """poly(q) by integer Horner over the common denominator: the value of
-    ``poly.evaluate(q)`` without its Fraction addition per term, which takes
-    seconds at 60 x 60."""
+    """poly(q) by integer Horner over the common denominator, written
+    independently of ``QPoly.evaluate`` as a reference for it."""
     terms = poly.terms()[::-1]
     if not terms:
         return Fraction(0)
@@ -511,8 +510,7 @@ def test_float_probability_is_the_rounded_exact_value(case, q):
     n, m, assignment = case
     prob = multipoint_prob(CorrelationQuery.build(n, m, assignment), SHARED_CACHE)
     exact = exact_at(prob.num, q) / exact_at(prob.den, q)
-    if n + m <= 16:
-        assert exact == prob.evaluate(q)
+    assert exact == prob.evaluate(q)
     got, expected = prob.evaluate(float(q)), float(exact)
     tiny = sys.float_info.min
     assert math.isclose(got, expected, rel_tol=1e-12) or (abs(got) < tiny and abs(expected) < tiny)

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from qpaths import partition
 from qpaths.errors import DomainError, RangeError
 from qpaths.partition import (
     SectorSpec,
@@ -16,6 +17,7 @@ from qpaths.partition import (
     z_closed,
     z_generalized,
     z_recursive,
+    z_row,
 )
 from qpaths.paths import BoxSpec, enumerate_paths, oracle_partition
 from qpaths.qpoly import ModelParameters, QPoly
@@ -76,6 +78,44 @@ class TestRecursion:
         z_recursive(3, 2, cache)
         assert len(cache) == 4 * 3
         assert cache.get_or_compute((2, 2), lambda: QPoly.zero()) == z_closed(2, 2)
+
+
+class TestRow:
+    def test_matches_closed_form(self):
+        # k > L - k + 1 is where the remainder check reaches below index 0
+        for length in range(41):
+            full = [z_closed(j, length - j) for j in range(length + 1)]
+            for k in range(length + 1):
+                assert z_row(length, k, ZCache()) == full[: k + 1]
+
+    def test_publishes_into_cache(self):
+        cache = ZCache()
+        z_row(7, 4, cache)
+        assert (cache.hits, cache.misses, len(cache)) == (0, 5, 5)
+        assert cache.get_or_compute((3, 4), lambda: QPoly.zero()) == z_closed(3, 4)
+
+    def test_fully_cached_row_computes_nothing(self, monkeypatch):
+        cache = ZCache()
+        expected = z_row(9, 6, cache)
+
+        def fail(*args):
+            raise AssertionError("computed a cached entry")
+
+        monkeypatch.setattr(partition, "_mul_div", fail)
+        monkeypatch.setattr(partition, "_z_from_gauss", fail)
+        assert z_row(9, 6, cache) == expected
+        assert z_row(9, 3, cache) == expected[:4]
+
+    def test_extends_a_cached_prefix(self):
+        cache = ZCache()
+        z_row(6, 2, cache)
+        assert z_row(6, 5, cache) == [z_closed(j, 6 - j) for j in range(6)]
+        assert (cache.hits, cache.misses) == (3, 6)
+
+    @pytest.mark.parametrize("length, k", [(3, -1), (3, 4)])
+    def test_bad_prefix_rejected(self, length, k):
+        with pytest.raises(ValueError):
+            z_row(length, k)
 
 
 class TestGeneralized:

@@ -1,8 +1,9 @@
 import json
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from qpaths.errors import DomainError
@@ -18,6 +19,13 @@ polys = st.builds(
     st.dictionaries(st.integers(0, 40), st.integers(-(10**6), 10**6), max_size=8),
 )
 rationals = st.fractions(min_value=Fraction(-4), max_value=Fraction(4))
+#: q = a/b with multi-digit signed numerators and denominators
+wide_rationals = st.builds(Fraction, st.integers(-(10**9), 10**9), st.integers(1, 10**9))
+
+
+def fraction_sum(poly, q):
+    """poly(q) as one Fraction per term: the slow, obviously correct oracle."""
+    return sum((c * q**e for e, c in poly.terms()), Fraction(0))
 
 
 class TestConstruction:
@@ -94,6 +102,25 @@ class TestEvaluate:
         assert r.evaluate(0.5) == pytest.approx(0.8, rel=1e-15)
         assert r.evaluate(Fraction(1, 2)) == Fraction(4, 5)
 
+    def test_zero_and_constant_polynomials(self):
+        for q in (Fraction(0), Fraction(-7, 3), Fraction(12345, 678)):
+            assert QPoly.zero().evaluate(q) == 0
+            assert P({0: -5}).evaluate(q) == -5
+            assert QRational(QPoly.zero(), P({0: 3})).evaluate(q) == 0
+            assert QRational(P({0: 2}), P({0: 3})).evaluate(q) == Fraction(2, 3)
+
+    def test_exact_at_zero(self):
+        assert P({0: 3, 2: 1}).evaluate(Fraction(0)) == 3
+        assert P({2: 1}).evaluate(Fraction(0)) == 0
+        assert QRational(P({0: 1, 4: 2}), P({0: 2, 2: 1})).evaluate(Fraction(0)) == Fraction(1, 2)
+        with pytest.raises(ZeroDivisionError):
+            QRational(P({2: 1}), P({2: 1})).evaluate(Fraction(0))
+
+    def test_float_ratio_of_coefficients_beyond_float_range(self):
+        r = QRational(P({0: 10**400, 2: 10**400}), P({0: 3 * 10**400}))
+        assert r.evaluate(0.5) == 5 / 12
+        assert r.evaluate(Fraction(1, 2)) == Fraction(5, 12)
+
     def test_rational_zero_denominator(self):
         r = QRational(QPoly.one(), P({0: 1, 1: -1}))
         with pytest.raises(ZeroDivisionError):
@@ -113,6 +140,19 @@ class TestSerialization:
         text = json.dumps(p.to_json_obj())
         assert QPoly.from_json_obj(json.loads(text)) == p
 
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int digit limit")
+    def test_coefficient_past_the_int_digit_limit(self):
+        limit = sys.get_int_max_str_digits()
+        big = P({0: 1, 2: -(10**4999 + 7)})
+        sys.set_int_max_str_digits(0)
+        try:
+            obj = big.to_json_obj()
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert len(obj[1][1]) == 5001
+        assert QPoly.from_json_obj(obj) == big
+        assert sys.get_int_max_str_digits() == limit
+
     def test_qrational_roundtrip(self):
         r = QRational(P({2: 1}), P({2: 1, 4: 1}))
         assert QRational.from_json_obj(r.to_json_obj()) == r
@@ -131,6 +171,22 @@ def test_ring_axioms(a, b, c):
 def test_evaluate_is_a_homomorphism(a, b, q):
     assert (a * b).evaluate(q) == a.evaluate(q) * b.evaluate(q)
     assert (a + b).evaluate(q) == a.evaluate(q) + b.evaluate(q)
+
+
+@given(polys, wide_rationals)
+def test_exact_evaluate_matches_the_per_term_sum(p, q):
+    assert p.evaluate(q) == fraction_sum(p, q)
+
+
+@given(polys, polys, st.one_of(wide_rationals, rationals))
+def test_exact_ratio_matches_the_per_term_sums(a, b, q):
+    assume(not b.is_zero)
+    den = fraction_sum(b, q)
+    if den == 0:
+        with pytest.raises(ZeroDivisionError):
+            QRational(a, b).evaluate(q)
+    else:
+        assert QRational(a, b).evaluate(q) == fraction_sum(a, q) / den
 
 
 @given(polys)
