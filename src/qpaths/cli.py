@@ -55,18 +55,22 @@ def _make_cache() -> ZCache:
     return ZCache(max_entries=int(raw) if raw else None)
 
 
-def _fraction(text: str) -> Fraction:
+def _parse_q(text: str, as_float: bool):
     try:
-        return Fraction(text)
+        value = float(text) if as_float else Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"q must be a rational with a nonzero denominator, got {text}") from None
-
-
-def _parse_q(text: str, as_float: bool):
-    value = float(text) if as_float else _fraction(text)
     if not 0 < value < 1:
         raise DomainError(f"q must lie strictly in (0, 1), got {text}")
     return value
+
+
+def _check_sizes(args, *names: str):
+    """Reject a negative value of any of the named size flags (zero is allowed)."""
+    for name in names:
+        value = getattr(args, name)
+        if value < 0:
+            raise ValueError(f"--{name.replace('_', '-')} must be >= 0, got {value}")
 
 
 def _parse_sites(text: str) -> list[tuple[int, str]]:
@@ -135,8 +139,6 @@ def _run_correlate(args) -> tuple:
     cache = _make_cache()
     query = CorrelationQuery.build(args.n, args.m, _parse_sites(args.sites))
     prob = multipoint_prob(query, cache)
-    v = query.down_count
-    bound_exponent = v * (v - 1) + 2 * sum(query.interface_distances())
     in_regime = multipoint_bound_regime(query)
     if args.eval is not None:
         qs = [_parse_q(args.eval, args.float)]
@@ -154,7 +156,7 @@ def _run_correlate(args) -> tuple:
         )
     result = {
         "probability": prob.to_json_obj(),
-        "bound_exponent": bound_exponent,
+        "bound_exponent": query.bound_exponent,
         "checks": checks,
         "bound_holds": all(c["holds"] for c in checks),
         "in_regime": in_regime,
@@ -183,6 +185,7 @@ def _run_fluctuations(args) -> tuple:
 
 
 def _run_sample(args) -> tuple:
+    _check_sizes(args, "count")
     q = _parse_q(args.q, False)
     sampler = PathSampler(args.n, args.m, q, args.seed)
     lines = [sampler.draw().to_text() for _ in range(args.count)]
@@ -195,13 +198,14 @@ def _run_reduce2d(args) -> tuple:
     ks = list(range(args.N * args.M + 1)) if args.all else [args.k]
     terms = []
     all_match = True
-    product = z2d_product(args.N, args.M) if args.check else None
+    if args.check:
+        product, oracle = z2d_product(args.N, args.M), z2d_oracle(args.N, args.M)
     for k in ks:
         poly = z2d_reduction(args.N, args.M, k, cache)
         entry = {"k": k, "polynomial": poly.to_json_obj()}
         if args.check:
             entry["compositions"] = [list(c) for c in compositions(args.N, args.M, k)]
-            entry["routes_agree"] = poly == product[k] == z2d_oracle(args.N, args.M, k)
+            entry["routes_agree"] = poly == product[k] == oracle[k]
             all_match = all_match and entry["routes_agree"]
         terms.append(entry)
     result = {"terms": terms}
@@ -216,7 +220,8 @@ def _run_reduce2d(args) -> tuple:
 
 def _run_verify(args) -> tuple:
     cache = _make_cache()
-    q_grid = [_fraction(tok) for tok in args.q_grid.split(",")]
+    _check_sizes(args, "max_nm", "enum_limit", "count", "max_chain")
+    q_grid = [_parse_q(tok, False) for tok in args.q_grid.split(",")]
     report = run_suites(
         [args.suite],
         max_nm=args.max_nm,
@@ -375,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--enum-limit", type=int, default=8, dest="enum_limit")
     p.add_argument("--count", type=int, default=100, help="randomized instances per identity")
     p.add_argument("--max-chain", type=int, default=8, dest="max_chain")
-    p.add_argument("--q-grid", default="1/5,1/2,4/5", dest="q_grid")
+    p.add_argument("--q-grid", default=",".join(map(str, DEFAULT_Q_GRID)), dest="q_grid")
     p.add_argument("--seed", type=int, default=0)
     _add_format(p)
     p.set_defaults(run=_run_verify)

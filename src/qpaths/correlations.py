@@ -13,7 +13,8 @@ set of sites removes their factors from E(z): every joint spin probability
 is read off E(z) deflated by those factors (``_constrained_prob``), and is
 tested against brute-force configuration sums.  The coefficients of E(z)
 come from ``z_row``, which builds Z(0, L), ..., Z(k, L-k) in one pass along
-the Gaussian binomials [L, j] instead of one closed form per entry.
+the Gaussian binomials [L, j] instead of one closed form per entry; the
+window law multiplies such rows for the window and the two sides.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .errors import DomainError, InconsistentQuery, RangeError
-from .partition import SectorSpec, ZCache, z_cached, z_generalized, z_row
-from .paths import DOWN, UP, BoxSpec, Path
+from .partition import SectorSpec, ZCache, z_cached, z_row
+from .paths import DOWN, UP, Path
 from .qpoly import QPoly, QRational, Scalar
 
 SPIN_DOWN = "down"
@@ -72,6 +73,12 @@ class CorrelationQuery:
         n = self.sector.n
         return tuple((x - n) * a for x, a in zip(self.sites, self.alphas))
 
+    @property
+    def bound_exponent(self) -> int:
+        """v(v-1) + 2 * sum of down-spin interface distances, v = ``down_count``."""
+        v = self.down_count
+        return v * (v - 1) + 2 * sum(self.interface_distances())
+
 
 # -- single-point and few-point probabilities --------------------------------
 
@@ -95,17 +102,17 @@ def _constrained_prob(
     With v = |downs|, the numerator is q^(2 sum(downs)) times the coefficient
     of z^(n-v) in E(z) / prod_{c in sites} (1 + z q^(2c)).  Each division is
     the recurrence f_j <- f_j - q^(2c) f_(j-1) on the row f_j = Z(j, L-j),
-    j <= n-v, taken from ``z_row``.  The numerator is an exact zero when
-    the counts do not fit.
+    j <= n-v, from one ``z_row`` call whose last entry Z(n, m) is the
+    denominator.  The numerator is an exact zero when the counts do not fit.
     """
+    row = z_row(n + m, n, cache)
+    den = row[n]
     k = n - len(downs)
-    if k < 0:
-        return QRational(QPoly.zero(), z_cached(n, m, cache))
-    row = z_row(n + m, k, cache)
     for c in sites:
         for j in range(1, k + 1):
             row[j] = row[j] - row[j - 1].shift(2 * c)
-    return QRational(row[k].shift(2 * sum(downs)), z_cached(n, m, cache))
+    num = row[k].shift(2 * sum(downs)) if k >= 0 else QPoly.zero()
+    return QRational(num, den)
 
 
 def spin_down_prob(n: int, m: int, x: int, cache: Optional[ZCache] = None) -> QRational:
@@ -186,12 +193,11 @@ def multipoint_prob(query: CorrelationQuery, cache: Optional[ZCache] = None) -> 
 def exp_bound(query: CorrelationQuery, q: Scalar) -> Scalar:
     """The exponential bound q^(v(v-1) + 2*sum of down-spin interface distances).
 
-    v is the number of constrained down spins.  Claimed for sites strictly
-    beyond the interface (see ``multipoint_bound_regime``).
+    v is the number of constrained down spins (see
+    ``CorrelationQuery.bound_exponent``).  Claimed for sites strictly beyond
+    the interface (see ``multipoint_bound_regime``).
     """
-    v = query.down_count
-    exponent = v * (v - 1) + 2 * sum(query.interface_distances())
-    return q**exponent
+    return q**query.bound_exponent
 
 
 def site_bound_regime(n: int, m: int, x: int) -> bool:
@@ -240,28 +246,25 @@ def fluctuation_distribution(
 ) -> dict[int, QRational]:
     """Exact distribution of the window spin F = (#up - #down)/2.
 
-    With d down spins in the window, F = L/2 - d.  The weight of {d downs in
-    the window} factors over the two cuts at the window edges into a sum over
-    the crossing points of products of three boxed partition functions.
+    With d down spins in the window, F = L/2 - d.  Sites 1..t1, the window
+    t1+1..t2 and sites t2+1..N (t1 = (N-L)/2, t2 = (N+L)/2) hold j, d and n-d-j
+    down spins, so with the rows side = Z(j, t1-j) and window = Z(d, L-d),
+    num_d = q^(2 t1 d) window[d] sum_j side[j] side[n-d-j] q^(2 t2 (n-d-j)).
     Covers every integer value in [-L/2, L/2]; impossible values get an exact
     zero numerator.
     """
-    n = m = fq.N // 2
+    n = fq.N // 2
     t1 = (fq.N - fq.L) // 2
     t2 = (fq.N + fq.L) // 2
-    den = z_cached(n, m, cache)
-    dist: dict[int, QRational] = {}
-    for d in range(fq.L + 1):
-        num = QPoly.zero()
-        for a in range(min(n, t1) + 1):
-            mid_end = (a + d, t2 - a - d)
-            if mid_end[0] > n or mid_end[1] > m:
-                continue
-            head = z_cached(a, t1 - a, cache)
-            mid = z_generalized(BoxSpec(a, t1 - a, mid_end[0], mid_end[1]), cache)
-            tail = z_generalized(BoxSpec(mid_end[0], mid_end[1], n, m), cache)
-            num = num + head * mid * tail
-        dist[fq.L // 2 - d] = QRational(num, den)
+    side = z_row(t1, t1, cache)
+    window = z_row(fq.L, min(fq.L, n), cache)
+    den = z_cached(n, n, cache)
+    dist = {fq.L // 2 - d: QRational(QPoly.zero(), den) for d in range(fq.L + 1)}
+    for d, w in enumerate(window):
+        sides = QPoly.zero()
+        for j in range(max(0, n - d - t1), min(t1, n - d) + 1):
+            sides = sides + side[j] * side[n - d - j].shift(2 * t2 * (n - d - j))
+        dist[fq.L // 2 - d] = QRational((w * sides).shift(2 * t1 * d), den)
     return dict(sorted(dist.items()))
 
 

@@ -7,9 +7,10 @@ grand-canonical generating function therefore factorizes,
     prod_{j=N}^{N+M-1} (1 + z q^(2j))^N = sum_k z^k Z2d(k, NM - k),
 
 which yields three independent routes to Z2d: the multinomial reduction over
-per-column down-spin counts, coefficient extraction from the product, and the
-elementary symmetric polynomial of the site-weight multiset.  All three are
-cross-checked exactly in the tests.
+per-column down-spin counts (its Z(i, M-i) from one ``z_row``), and, for all k
+at once, coefficient extraction from the product and the elementary symmetric
+polynomials of the site-weight multiset.  All three are cross-checked exactly
+in the tests.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-from .partition import ZCache, z_cached
+from .partition import ZCache, z_row
 from .qpoly import QPoly
 
 
@@ -59,6 +60,7 @@ def z2d_reduction(N: int, M: int, k: int, cache: Optional[ZCache] = None) -> QPo
     _check_shape(N, M)
     if not 0 <= k <= N * M:
         raise ValueError(f"need 0 <= k <= {N * M}, got k={k}")
+    row = z_row(M, M, cache)
     total = QPoly.zero()
     for kj in compositions(N, M, k):
         coeff = math.factorial(N)
@@ -67,7 +69,7 @@ def z2d_reduction(N: int, M: int, k: int, cache: Optional[ZCache] = None) -> QPo
         term = QPoly.monomial(0, coeff)
         for i, c in enumerate(kj):
             if c:
-                term = term * z_cached(i, M - i, cache) ** c
+                term = term * row[i] ** c
         total = total + term
     return total.shift(2 * (N - 1) * k)
 
@@ -93,18 +95,16 @@ def z2d_product(N: int, M: int) -> list[QPoly]:
     return coeffs
 
 
-def z2d_oracle(N: int, M: int, k: int) -> QPoly:
-    """Independent check: Z2d(k, NM-k) is the k-th elementary symmetric
-    polynomial of the NM site weights {q^(2j), multiplicity N each}."""
+def z2d_oracle(N: int, M: int) -> list[QPoly]:
+    """Independent check: [Z2d(k, NM-k) for k = 0..NM] are the elementary
+    symmetric polynomials of the NM site weights {q^(2j), multiplicity N each}."""
     _check_shape(N, M)
-    if not 0 <= k <= N * M:
-        raise ValueError(f"need 0 <= k <= {N * M}, got k={k}")
-    esp = [QPoly.one()] + [QPoly.zero()] * k
+    esp = [QPoly.one()] + [QPoly.zero()] * (N * M)
     seen = 0
     for j in range(N, N + M):
         weight = QPoly.monomial(2 * j)
         for _ in range(N):
             seen += 1
-            for i in range(min(seen, k), 0, -1):
+            for i in range(seen, 0, -1):
                 esp[i] = esp[i] + weight * esp[i - 1]
-    return esp[k]
+    return esp

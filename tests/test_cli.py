@@ -95,6 +95,15 @@ class TestPartition:
         ["sample", "--n", "1", "--m", "1", "--q", "1/0", "--seed", "0"],
         ["verify", "identities", "--q-grid", "1/2,1/0"],
         ["partition", "--n", "1", "--m", "1", "--sweep", "no-such-sweep-file.cfg"],
+        ["verify", "bounds", "--q-grid", "0"],
+        ["verify", "bounds", "--q-grid", "1/2,1"],
+        ["verify", "bounds", "--q-grid", "2"],
+        ["verify", "identities", "--max-nm", "-1"],
+        ["verify", "identities", "--enum-limit", "-1"],
+        ["verify", "identities", "--count", "-1"],
+        ["verify", "all", "--max-chain", "-1"],
+        ["verify", "fluctuations", "--max-chain", "-1"],
+        ["sample", "--n", "1", "--m", "1", "--q", "1/2", "--seed", "0", "--count", "-1"],
     ],
 )
 def test_bad_rational_or_sweep_file_is_a_diagnostic(argv, capsys):
@@ -102,6 +111,27 @@ def test_bad_rational_or_sweep_file_is_a_diagnostic(argv, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "bounds", "--q-grid", "1/2,1"], "q must lie strictly in (0, 1)"),
+        (["verify", "identities", "--enum-limit", "-1"], "--enum-limit must be >= 0"),
+        (["verify", "fluctuations", "--max-chain", "-1"], "--max-chain must be >= 0"),
+        (["sample", "--n", "1", "--m", "1", "--q", "1/2", "--seed", "0", "--count", "-1"],
+         "--count must be >= 0"),
+    ],
+)
+def test_diagnostic_names_the_precondition(argv, message, capsys):
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_zero_sizes_are_allowed(capsys):
+    argv = ["sample", "--n", "1", "--m", "1", "--q", "1/2", "--seed", "0", "--count", "0"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == ""
 
 
 class TestCorrelate:

@@ -29,7 +29,8 @@ from qpaths.correlations import (
     spin_up_prob,
 )
 from qpaths.errors import DomainError, InconsistentQuery, RangeError
-from qpaths.partition import SectorSpec, ZCache, z_closed
+from qpaths.partition import SectorSpec, ZCache, z_closed, z_generalized
+from qpaths.paths import BoxSpec
 from qpaths.qpoly import QPoly, QRational
 
 HALF = Fraction(1, 2)
@@ -292,6 +293,29 @@ class TestExponentialBound:
                             assert prob.evaluate(q) <= exp_bound(query, q)
 
 
+def cut_sum_distribution(fq, cache):
+    """Independent reference for the window law: the weight of {d downs in
+    the window} summed over the crossing points of the cut at the left window
+    edge, each term a product of three boxed partition functions."""
+    n = m = fq.N // 2
+    t1 = (fq.N - fq.L) // 2
+    t2 = (fq.N + fq.L) // 2
+    den = z_closed(n, m)
+    dist = {}
+    for d in range(fq.L + 1):
+        num = QPoly.zero()
+        for a in range(min(n, t1) + 1):
+            x, y = a + d, t2 - a - d
+            if x > n or y > m:
+                continue
+            head = z_generalized(BoxSpec(0, 0, a, t1 - a), cache)
+            mid = z_generalized(BoxSpec(a, t1 - a, x, y), cache)
+            tail = z_generalized(BoxSpec(x, y, n, m), cache)
+            num = num + head * mid * tail
+        dist[fq.L // 2 - d] = QRational(num, den)
+    return dist
+
+
 class TestFluctuations:
     def test_query_validation(self):
         for N, L in ((3, 2), (4, 3), (2, 4), (4, 0)):
@@ -333,6 +357,16 @@ class TestFluctuations:
                 expected[L // 2 - in_window] = expected[L // 2 - in_window] + weight
             for l, prob in dist.items():
                 assert prob == QRational(expected[l], den)
+
+    def test_matches_the_cut_sum(self):
+        cache = ZCache()
+        for N in range(2, 31, 2):
+            for L in range(2, N + 1, 2):
+                fq = FluctuationQuery(N, L)
+                rows = {l: p.to_json_obj() for l, p in fluctuation_distribution(fq).items()}
+                cuts = {l: p.to_json_obj() for l, p in cut_sum_distribution(fq, cache).items()}
+                assert list(rows) == sorted(cuts), (N, L)
+                assert rows == cuts, (N, L)
 
     def test_normalization_symmetry_mean(self):
         for N in (2, 4, 6, 8):
