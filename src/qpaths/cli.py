@@ -5,10 +5,11 @@ Every subcommand is one ``run(args) -> (code, envelope, table)`` function;
 library_version, q_mode, result} is printed as JSON with sorted keys, so
 identical invocations produce byte-identical output; ``--format csv`` prints
 the tabular part of the result as CSV instead.  ``sample`` emits plain
-path-text lines by default.  Exact q values are given as rationals ("1/2");
-floats require the explicit --float flag.  Exact values print in full,
-whatever their length.  Exit codes: 0 success, 1 verification failure,
-2 usage or precondition error.
+path-text lines by default.  q values are rational text ("1/2", "0.5");
+evaluating at the nearest float requires the explicit --float flag.  Exact
+values print in full, whatever their length.  Exit codes: 0 success,
+1 verification failure or stdout closed by its reader before the output was
+written, 2 usage or precondition error.
 
 A sweep file (``--sweep``) holds lines ``flag = value, value, ...``; the
 cartesian product of all listed flags is run in grid order, one compact
@@ -52,14 +53,21 @@ CACHE_SIZE_ENV = "QPATHS_CACHE_SIZE"
 
 def _make_cache() -> ZCache:
     raw = os.environ.get(CACHE_SIZE_ENV)
-    return ZCache(max_entries=int(raw) if raw else None)
+    if not raw:
+        return ZCache()
+    try:
+        return ZCache(max_entries=int(raw))
+    except ValueError:
+        raise ValueError(f"{CACHE_SIZE_ENV} must be an integer >= 0, got {raw!r}") from None
 
 
 def _parse_q(text: str, as_float: bool):
     try:
-        value = float(text) if as_float else Fraction(text)
+        value = Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"q must be a rational with a nonzero denominator, got {text}") from None
+    if as_float:
+        value = float(value)  # correctly rounded: "0.5" and "1/2" give the same float
     if not 0 < value < 1:
         raise DomainError(f"q must lie strictly in (0, 1), got {text}")
     return value
@@ -77,9 +85,13 @@ def _parse_sites(text: str) -> list[tuple[int, str]]:
     out = []
     for chunk in text.split(","):
         site, _, spin = chunk.strip().partition(":")
-        if spin not in (SPIN_DOWN, SPIN_UP):
-            raise ValueError(f"bad site spec {chunk!r}; expected e.g. '3:down'")
-        out.append((int(site), spin))
+        try:
+            x = int(site)
+        except ValueError:
+            x = None
+        if x is None or spin not in (SPIN_DOWN, SPIN_UP):
+            raise ValueError(f"bad --sites entry {chunk!r}; expected e.g. '3:down'")
+        out.append((x, spin))
     return out
 
 
@@ -393,9 +405,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     sweep = _sweep_file(argv)
     try:
-        if sweep:
-            return _run_sweep(parser, argv, sweep)
-        return _run(parser.parse_args(argv))
+        code = _run_sweep(parser, argv, sweep) if sweep else _run(parser.parse_args(argv))
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early (``| head``).  Point it at devnull
+        # so the interpreter's final flush cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (DomainError, RangeError, CapExceeded, InconsistentQuery, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

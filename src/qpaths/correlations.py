@@ -309,14 +309,15 @@ class TailBound:
 # -- exact sampling -------------------------------------------------------------
 
 
-def _bernoulli_exact(rng: random.Random, p: Fraction, max_bits: int = 256) -> bool:
-    """Exact Bernoulli(p) draw by lazy binary-digit comparison.
+def _bernoulli_exact(rng: random.Random, num: int, den: int, max_bits: int = 256) -> bool:
+    """Exact Bernoulli(num/den) draw by lazy binary-digit comparison, den > 0.
 
-    Compares a uniform bit stream with the binary expansion of p, consuming
-    an expected two bits.  The max_bits cutoff bounds the resolution at
-    2^-max_bits, far below any statistical test's sensitivity.
+    Compares a uniform bit stream with the binary expansion of num/den,
+    consuming an expected two bits.  The digits depend only on the value of
+    num/den, not on how it is written, so the pair need not be reduced.  The
+    max_bits cutoff bounds the resolution at 2^-max_bits, far below any
+    statistical test's sensitivity.
     """
-    num, den = p.numerator, p.denominator
     if num <= 0:
         return False
     if num >= den:
@@ -338,10 +339,12 @@ class PathSampler:
     probability Z(i, j-1)/Z(i, j), horizontal otherwise (the two summands of
     the corner recursion).  By the neighbour-ratio identity that probability
     is (1 - q^(2j)) / (1 - q^(2(i+j))), so no partition function is built.
-    Thresholds are exact rationals compared against a deterministic seeded
-    bit stream, so the target distribution is exact and runs are
-    reproducible.  Each sampler owns its random stream; concurrent sampling
-    needs independent seeds.
+    With q = a/b, A = a^2 and B = b^2 it is the integer ratio
+    B^i (B^j - A^j) / (B^(i+j) - A^(i+j)), read from per-sampler tables of
+    B^k and B^k - A^k for k <= n + m.  Thresholds are exact and compared
+    against a deterministic seeded bit stream, so the target distribution is
+    exact and runs are reproducible.  Each sampler owns its random stream;
+    concurrent sampling needs independent seeds.
     """
 
     def __init__(self, n: int, m: int, q: Fraction, seed: int):
@@ -354,17 +357,23 @@ class PathSampler:
         self.m = m
         self.q = q
         self._rng = random.Random(seed)
+        a2, b2 = q.numerator**2, q.denominator**2
+        a_pow, b_pow = [1], [1]
+        for _ in range(n + m):
+            a_pow.append(a_pow[-1] * a2)
+            b_pow.append(b_pow[-1] * b2)
+        self._b_pow = b_pow
+        self._gap = [b - a for a, b in zip(a_pow, b_pow)]
 
-    def _p_vertical(self, i: int, j: int) -> Fraction:
-        """Z(i, j-1)/Z(i, j) at q, for i, j >= 1."""
-        q2 = self.q * self.q
-        return (1 - q2**j) / (1 - q2 ** (i + j))
+    def _threshold(self, i: int, j: int) -> tuple[int, int]:
+        """Z(i, j-1)/Z(i, j) at q as an unreduced (num, den) pair, i, j >= 1."""
+        return self._b_pow[i] * self._gap[j], self._gap[i + j]
 
     def draw(self) -> Path:
         i, j = self.n, self.m
         reversed_steps = []
         while i > 0 and j > 0:
-            if _bernoulli_exact(self._rng, self._p_vertical(i, j)):
+            if _bernoulli_exact(self._rng, *self._threshold(i, j)):
                 reversed_steps.append(UP)
                 j -= 1
             else:

@@ -51,6 +51,8 @@ class ZCache:
     """
 
     def __init__(self, max_entries: Optional[int] = None):
+        if max_entries is not None and max_entries < 0:
+            raise ValueError(f"max_entries must be >= 0 or None, got {max_entries}")
         self._data: dict[tuple[int, int], QPoly] = {}
         self._lock = threading.Lock()
         self.max_entries = max_entries

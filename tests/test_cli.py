@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -49,6 +50,14 @@ class TestPartition:
         payload = json.loads(out)
         assert payload["result"]["value"] == 0.3125
         assert payload["q_mode"] == "float"
+
+    def test_float_mode_reads_rationals(self, capsys):
+        outs = []
+        for q in ("1/2", "0.5"):
+            code, out = run_cli(["partition", "--n", "2", "--m", "1", "--eval", q, "--float"], capsys)
+            assert code == 0
+            outs.append(out.replace(f'"eval": "{q}"', '"eval": Q'))  # config echoes the text
+        assert outs[0] == outs[1]
 
     def test_csv_table(self, capsys):
         code, out = run_cli(["partition", "--n", "2", "--m", "1", "--format", "csv"], capsys)
@@ -121,6 +130,7 @@ def test_bad_rational_or_sweep_file_is_a_diagnostic(argv, capsys):
         (["verify", "fluctuations", "--max-chain", "-1"], "--max-chain must be >= 0"),
         (["sample", "--n", "1", "--m", "1", "--q", "1/2", "--seed", "0", "--count", "-1"],
          "--count must be >= 0"),
+        (["correlate", "--n", "2", "--m", "2", "--sites", "x:down"], "--sites entry 'x:down'"),
     ],
 )
 def test_diagnostic_names_the_precondition(argv, message, capsys):
@@ -341,6 +351,14 @@ def test_cache_size_env_var(monkeypatch, capsys):
     assert json.loads(out)["result"]["polynomial"][0] == [20, "1"]
 
 
+@pytest.mark.parametrize("raw", ["abc", "-1"])
+def test_bad_cache_size_env_var_is_a_diagnostic(raw, monkeypatch, capsys):
+    monkeypatch.setenv("QPATHS_CACHE_SIZE", raw)
+    assert main(["partition", "--n", "4", "--m", "4"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: QPATHS_CACHE_SIZE must be an integer >= 0, got {raw!r}\n"
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "qpaths", "partition", "--n", "1", "--m", "1"],
@@ -349,3 +367,21 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["result"]["polynomial"] == [[2, "1"], [4, "1"]]
+
+
+def test_stdout_closed_by_its_reader_exits_quietly():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to the pipe now fails with EPIPE
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "qpaths", "fluctuations", "--N", "8", "--L", "4",
+             "--q", "1e-200", "--float"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.stderr == ""  # in particular, no Traceback
+    assert proc.returncode == 1

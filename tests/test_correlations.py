@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 import sys
 from fractions import Fraction
 
@@ -30,7 +31,7 @@ from qpaths.correlations import (
 )
 from qpaths.errors import DomainError, InconsistentQuery, RangeError
 from qpaths.partition import SectorSpec, ZCache, z_closed, z_generalized
-from qpaths.paths import BoxSpec
+from qpaths.paths import DOWN, UP, BoxSpec, Path
 from qpaths.qpoly import QPoly, QRational
 
 HALF = Fraction(1, 2)
@@ -506,7 +507,76 @@ def test_down_probabilities_sum_to_the_down_count(n, m):
 )
 def test_sampler_threshold_is_the_partition_ratio(i, j, q):
     expected = z_closed(i, j - 1).evaluate(q) / z_closed(i, j).evaluate(q)
-    assert PathSampler(i, j, q, 0)._p_vertical(i, j) == expected
+    assert Fraction(*PathSampler(i, j, q, 0)._threshold(i, j)) == expected
+
+
+def _fraction_bernoulli(rng, p, max_bits=256):
+    num, den = p.numerator, p.denominator
+    if num <= 0:
+        return False
+    if num >= den:
+        return True
+    for _ in range(max_bits):
+        num *= 2
+        digit, num = divmod(num, den)
+        bit = rng.getrandbits(1)
+        if bit != digit:
+            return bit < digit
+    return False
+
+
+class FractionSampler:
+    """The sampler with its threshold rebuilt as a reduced ``Fraction`` at
+    every step: the reference the integer thresholds are checked against."""
+
+    def __init__(self, n, m, q, seed):
+        self.n, self.m, self.q = n, m, Fraction(q)
+        self._rng = random.Random(seed)
+
+    def _p_vertical(self, i, j):
+        q2 = self.q * self.q
+        return (1 - q2**j) / (1 - q2 ** (i + j))
+
+    def draw(self):
+        i, j = self.n, self.m
+        reversed_steps = []
+        while i > 0 and j > 0:
+            if _fraction_bernoulli(self._rng, self._p_vertical(i, j)):
+                reversed_steps.append(UP)
+                j -= 1
+            else:
+                reversed_steps.append(DOWN)
+                i -= 1
+        reversed_steps.extend(DOWN * i + UP * j)
+        return Path((0, 0), "".join(reversed(reversed_steps)))
+
+
+def assert_same_draws(n, m, q, seed, draws):
+    sampler, oracle = PathSampler(n, m, q, seed), FractionSampler(n, m, q, seed)
+    assert [sampler.draw() for _ in range(draws)] == [oracle.draw() for _ in range(draws)]
+    assert sampler._rng.getstate() == oracle._rng.getstate()
+
+
+@st.composite
+def sampler_qs(draw):
+    b = draw(st.integers(2, 10**6))
+    return Fraction(draw(st.integers(1, b - 1)), b)
+
+
+@settings(deadline=None)
+@given(
+    st.integers(0, 60),
+    st.integers(0, 60),
+    st.one_of(st.sampled_from([HALF, Fraction(999, 1000), Fraction(1, 1000)]), sampler_qs()),
+    st.integers(0, 2**32),
+    st.integers(1, 4),
+)
+def test_integer_thresholds_draw_the_fraction_samplers_paths(n, m, q, seed, draws):
+    assert_same_draws(n, m, q, seed, draws)
+
+
+def test_integer_thresholds_at_200x200():
+    assert_same_draws(200, 200, Fraction(3, 4), 2024, 5)
 
 
 def exact_at(poly, q):

@@ -284,6 +284,10 @@ class TestZCache:
         assert len(cache) == 2
         assert values == [z_closed(n, 2) for n in range(5)]
 
+    def test_negative_cap_is_refused(self):
+        with pytest.raises(ValueError, match="max_entries"):
+            ZCache(max_entries=-1)
+
     def test_concurrent_readers(self):
         cache = ZCache()
         results = []
