@@ -62,6 +62,17 @@ def _make_cache() -> ZCache:
 
 
 def _parse_q(text: str, as_float: bool):
+    # Bound q's digits as written before Fraction expands them: 1e-1000000
+    # is a million-digit denominator.  A bad exponent is counted by length.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    mantissa, _, exponent = text.lower().partition("e")
+    try:
+        shift = abs(int(exponent or 0))
+    except ValueError:
+        shift = len(exponent)
+    digits = max(sum(map(str.isdigit, side)) for side in mantissa.split("/")) + shift
+    if limit and digits > limit:
+        raise ValueError(f"q must have at most {limit} digits in numerator and denominator")
     try:
         value = Fraction(text)
     except ZeroDivisionError:
@@ -206,27 +217,22 @@ def _run_sample(args) -> tuple:
 
 
 def _run_reduce2d(args) -> tuple:
-    cache = _make_cache()
-    ks = list(range(args.N * args.M + 1)) if args.all else [args.k]
-    terms = []
-    all_match = True
-    if args.check:
-        product, oracle = z2d_product(args.N, args.M), z2d_oracle(args.N, args.M)
-    for k in ks:
-        poly = z2d_reduction(args.N, args.M, k, cache)
-        entry = {"k": k, "polynomial": poly.to_json_obj()}
-        if args.check:
-            entry["compositions"] = [list(c) for c in compositions(args.N, args.M, k)]
-            entry["routes_agree"] = poly == product[k] == oracle[k]
-            all_match = all_match and entry["routes_agree"]
-        terms.append(entry)
+    reduction = z2d_reduction(args.N, args.M, _make_cache())
+    if not args.all and not 0 <= args.k < len(reduction):
+        raise ValueError(f"--k must lie in [0, {len(reduction) - 1}], got {args.k}")
+    ks = range(len(reduction)) if args.all else [args.k]
+    terms = [{"k": k, "polynomial": reduction[k].to_json_obj()} for k in ks]
     result = {"terms": terms}
     if args.check:
-        result["check_passed"] = all_match
+        product, oracle = z2d_product(args.N, args.M), z2d_oracle(args.N, args.M)
+        for k, entry in zip(ks, terms):
+            entry["compositions"] = [list(c) for c in compositions(args.N, args.M, k)]
+            entry["routes_agree"] = reduction[k] == product[k] == oracle[k]
+        result["check_passed"] = all(entry["routes_agree"] for entry in terms)
     config = {"N": args.N, "M": args.M, "k": args.k, "all": args.all, "check": args.check}
     header = ["k", "exponent", "coefficient"]
     rows = [[t["k"], e, c] for t in terms for e, c in t["polynomial"]]
-    code = 0 if all_match else 1
+    code = 0 if result.get("check_passed", True) else 1
     return code, _envelope("reduce2d", config, None, result), (header, rows)
 
 

@@ -6,11 +6,12 @@ grand-canonical generating function therefore factorizes,
 
     prod_{j=N}^{N+M-1} (1 + z q^(2j))^N = sum_k z^k Z2d(k, NM - k),
 
-which yields three independent routes to Z2d: the multinomial reduction over
-per-column down-spin counts (its Z(i, M-i) from one ``z_row``), and, for all k
-at once, coefficient extraction from the product and the elementary symmetric
-polynomials of the site-weight multiset.  All three are cross-checked exactly
-in the tests.
+which yields three independent routes to [Z2d(k, NM - k) for k = 0..NM]:
+the reduction, the N-th power of the 1D row sum_i Z(i, M-i) z^i (from one
+``z_row``); coefficient extraction from the product; and the elementary
+symmetric polynomials of the site-weight multiset.  The first two share one
+product of polynomials in z.  All three are cross-checked exactly in the
+tests.
 """
 
 from __future__ import annotations
@@ -51,27 +52,28 @@ def compositions(N: int, M: int, k: int) -> list[tuple[int, ...]]:
     return sorted(found, reverse=True)
 
 
-def z2d_reduction(N: int, M: int, k: int, cache: Optional[ZCache] = None) -> QPoly:
-    """Z2d(k, NM-k) as a multinomial sum of 1D partition function products:
+def _z_product(a: list[QPoly], b: list[QPoly]) -> list[QPoly]:
+    """The product of two polynomials in z, each a list of QPoly coefficients."""
+    out = [QPoly.zero()] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] = out[i + j] + ca * cb
+    return out
 
-        q^(2(N-1)k) * sum over compositions of N!/(k_0! ... k_M!) *
-        prod_i Z(i, M-i)^(k_i)
+
+def z2d_reduction(N: int, M: int, cache: Optional[ZCache] = None) -> list[QPoly]:
+    """[Z2d(k, NM-k) for k = 0..NM] by reduction to 1D partition functions.
+
+    Entry k is q^(2(N-1)k) times coefficient k of (sum_i Z(i, M-i) z^i)^N.
+    By the multinomial theorem that coefficient is the paper's sum over
+    ``compositions(N, M, k)`` of N!/(k_0! ... k_M!) prod_i Z(i, M-i)^(k_i).
     """
     _check_shape(N, M)
-    if not 0 <= k <= N * M:
-        raise ValueError(f"need 0 <= k <= {N * M}, got k={k}")
     row = z_row(M, M, cache)
-    total = QPoly.zero()
-    for kj in compositions(N, M, k):
-        coeff = math.factorial(N)
-        for c in kj:
-            coeff //= math.factorial(c)
-        term = QPoly.monomial(0, coeff)
-        for i, c in enumerate(kj):
-            if c:
-                term = term * row[i] ** c
-        total = total + term
-    return total.shift(2 * (N - 1) * k)
+    power = [QPoly.one()]
+    for _ in range(N):
+        power = _z_product(power, row)
+    return [p.shift(2 * (N - 1) * k) for k, p in enumerate(power)]
 
 
 def z2d_product(N: int, M: int) -> list[QPoly]:
@@ -79,19 +81,13 @@ def z2d_product(N: int, M: int) -> list[QPoly]:
     prod_{j=N}^{N+M-1} (1 + z q^(2j))^N.
 
     Each diagonal factor is expanded by the binomial theorem, then the M
-    factors are convolved; entry k equals Z2d(k, NM-k).
+    factors are multiplied as polynomials in z; entry k equals Z2d(k, NM-k).
     """
     _check_shape(N, M)
     coeffs = [QPoly.one()]
     for j in range(N, N + M):
         factor = [QPoly.monomial(2 * j * i, math.comb(N, i)) for i in range(N + 1)]
-        new = [QPoly.zero()] * (len(coeffs) + N)
-        for a, ca in enumerate(coeffs):
-            if ca.is_zero:
-                continue
-            for b, cb in enumerate(factor):
-                new[a + b] = new[a + b] + ca * cb
-        coeffs = new
+        coeffs = _z_product(coeffs, factor)
     return coeffs
 
 

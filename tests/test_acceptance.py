@@ -200,9 +200,9 @@ def test_criterion_09_two_dimensional_reduction():
     with criterion(9, "2D reduction: three-way equality N,M <= 4 plus pinned regressions", budget=30):
         for N in range(1, 5):
             for M in range(1, 5):
-                product = z2d_product(N, M)
+                reduction, product, oracle = z2d_reduction(N, M), z2d_product(N, M), z2d_oracle(N, M)
                 for k in range(N * M + 1):
-                    assert z2d_reduction(N, M, k) == product[k] == z2d_oracle(N, M)[k], (N, M, k)
+                    assert reduction[k] == product[k] == oracle[k], (N, M, k)
         # worked 3x3 example, k = 3, exactly as stated
         assert set(compositions(3, 3, 3)) == {(2, 0, 0, 1), (1, 1, 1, 0), (0, 3, 0, 0)}
         stated = (
@@ -210,7 +210,7 @@ def test_criterion_09_two_dimensional_reduction():
             + QPoly.monomial(0, 6) * z_closed(1, 2) * z_closed(2, 1)
             + QPoly.monomial(0, 3) * z_closed(3, 0)
         ).shift(12)
-        assert z2d_reduction(3, 3, 3) == stated
+        assert z2d_reduction(3, 3)[3] == stated
         # k = 4 regression pinned to the recomputed combination (the source
         # listing repeats the k = 3 composition sets; see the notes ledger)
         assert set(compositions(3, 3, 4)) == {(1, 1, 0, 1), (1, 0, 2, 0), (0, 2, 1, 0)}
@@ -219,7 +219,7 @@ def test_criterion_09_two_dimensional_reduction():
             + QPoly.monomial(0, 3) * z_closed(2, 1) ** 2
             + QPoly.monomial(0, 3) * z_closed(1, 2) ** 2 * z_closed(2, 1)
         ).shift(16)
-        assert z2d_reduction(3, 3, 4) == recomputed == z2d_oracle(3, 3)[4]
+        assert z2d_reduction(3, 3)[4] == recomputed == z2d_oracle(3, 3)[4]
 
 
 def test_criterion_10_sampler_chi_square():

@@ -138,6 +138,25 @@ def test_diagnostic_names_the_precondition(argv, message, capsys):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int digit limit")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["partition", "--n", "1", "--m", "1", "--eval", "1e-1000000", "--float"],
+        ["partition", "--n", "1", "--m", "1", "--eval", "1e-1000000"],
+        ["partition", "--n", "1", "--m", "1", "--eval", "1/" + "7" * 4301],
+        ["fluctuations", "--N", "4", "--L", "2", "--q", "0.5e-1000000"],
+        ["sample", "--n", "1", "--m", "1", "--q", "1e-1000000", "--seed", "0"],
+        ["verify", "bounds", "--q-grid", "1/2,1e-" + "9" * 5000],
+    ],
+)
+def test_oversized_q_is_refused_before_expansion(argv, capsys):
+    limit = sys.get_int_max_str_digits()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: q must have at most {limit} digits in numerator and denominator\n"
+
+
 def test_zero_sizes_are_allowed(capsys):
     argv = ["sample", "--n", "1", "--m", "1", "--q", "1/2", "--seed", "0", "--count", "0"]
     assert main(argv) == 0
@@ -253,6 +272,11 @@ class TestReduce2d:
             main(["reduce2d", "--N", "2", "--M", "2"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("k", ["-1", "5"])
+    def test_k_out_of_range_is_a_diagnostic(self, k, capsys):
+        assert main(["reduce2d", "--N", "2", "--M", "2", "--k", k]) == 2
+        assert capsys.readouterr().err == f"error: --k must lie in [0, 4], got {k}\n"
+
 
 class TestVerify:
     def test_identities_pass(self, capsys):
@@ -336,6 +360,7 @@ class TestGoldenFiles:
                 ["sample", "--n", "3", "--m", "3", "--q", "1/2", "--count", "4", "--seed", "5"],
             ),
             ("partition_n2_m1.csv", ["partition", "--n", "2", "--m", "1", "--format", "csv"]),
+            ("reduce2d_N3_M4.json", ["reduce2d", "--N", "3", "--M", "4", "--all", "--check"]),
         ],
     )
     def test_byte_identical(self, name, argv, capsys):

@@ -8,6 +8,28 @@ from qpaths.qpoly import QPoly
 from qpaths.reduction2d import compositions, z2d_oracle, z2d_product, z2d_reduction
 
 
+def multinomial_oracle(N, M):
+    """[Z2d(k, NM-k) for k = 0..NM], each the paper's sum over compositions:
+
+        q^(2(N-1)k) * sum of N!/(k_0! ... k_M!) * prod_i Z(i, M-i)^(k_i)
+    """
+    row = [z_closed(i, M - i) for i in range(M + 1)]
+    out = []
+    for k in range(N * M + 1):
+        total = QPoly.zero()
+        for kj in compositions(N, M, k):
+            coeff = math.factorial(N)
+            for c in kj:
+                coeff //= math.factorial(c)
+            term = QPoly.monomial(0, coeff)
+            for i, c in enumerate(kj):
+                if c:
+                    term = term * row[i] ** c
+            total = total + term
+        out.append(total.shift(2 * (N - 1) * k))
+    return out
+
+
 class TestCompositions:
     def test_all_up(self):
         assert compositions(3, 3, 0) == [(3, 0, 0, 0)]
@@ -37,11 +59,11 @@ class TestCompositions:
 
 class TestReduction:
     def test_k_zero(self):
-        assert z2d_reduction(3, 3, 0) == QPoly.one()
-        assert z2d_reduction(1, 5, 0) == QPoly.one()
+        assert z2d_reduction(3, 3)[0] == QPoly.one()
+        assert z2d_reduction(1, 5)[0] == QPoly.one()
 
     def test_single_down_2x2(self):
-        assert z2d_reduction(2, 2, 1) == QPoly({4: 2, 6: 2})
+        assert z2d_reduction(2, 2)[1] == QPoly({4: 2, 6: 2})
 
     def test_3x3_k3_term_combination(self):
         # q^12 { Z(1,2)^3 + 6 Z(1,2) Z(2,1) + 3 Z(3,0) }
@@ -50,10 +72,10 @@ class TestReduction:
             + QPoly.monomial(0, 6) * z_closed(1, 2) * z_closed(2, 1)
             + QPoly.monomial(0, 3) * z_closed(3, 0)
         ).shift(12)
-        assert z2d_reduction(3, 3, 3) == expected
+        assert z2d_reduction(3, 3)[3] == expected
 
     def test_3x3_k3_frozen_value(self):
-        assert z2d_reduction(3, 3, 3).to_json_obj() == [
+        assert z2d_reduction(3, 3)[3].to_json_obj() == [
             [18, "1"],
             [20, "9"],
             [22, "18"],
@@ -71,15 +93,21 @@ class TestReduction:
             + QPoly.monomial(0, 3) * z_closed(2, 1) ** 2
             + QPoly.monomial(0, 3) * z_closed(1, 2) ** 2 * z_closed(2, 1)
         ).shift(16)
-        value = z2d_reduction(3, 3, 4)
+        value = z2d_reduction(3, 3)[4]
         assert value == expected
         assert value == z2d_oracle(3, 3)[4]
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            z2d_reduction(2, 2, 5)
-        with pytest.raises(ValueError):
-            z2d_reduction(0, 2, 0)
+            z2d_reduction(0, 2)
+
+    def test_matches_the_multinomial_sum(self):
+        for N in range(1, 6):
+            for M in range(1, 6):
+                assert z2d_reduction(N, M) == multinomial_oracle(N, M) == z2d_oracle(N, M), (N, M)
+
+    def test_8x8_matches_the_oracle(self):
+        assert z2d_reduction(8, 8) == z2d_oracle(8, 8)
 
 
 class TestProduct:
@@ -101,9 +129,7 @@ class TestProduct:
 
     def test_coefficients_match_reduction(self):
         for N, M in ((2, 2), (3, 3), (2, 4)):
-            coeffs = z2d_product(N, M)
-            for k in range(N * M + 1):
-                assert coeffs[k] == z2d_reduction(N, M, k)
+            assert z2d_product(N, M) == z2d_reduction(N, M)
 
 
 class TestOracle:
@@ -122,12 +148,9 @@ class TestOracle:
     def test_three_way_equality(self):
         for N in range(1, 5):
             for M in range(1, 5):
-                coeffs = z2d_product(N, M)
                 oracle = z2d_oracle(N, M)
                 assert len(oracle) == N * M + 1
-                for k in range(N * M + 1):
-                    reduction = z2d_reduction(N, M, k)
-                    assert reduction == coeffs[k] == oracle[k]
+                assert z2d_reduction(N, M) == z2d_product(N, M) == oracle
 
 
 class TestStructuralIdentities:
@@ -174,5 +197,5 @@ class TestStructuralIdentities:
         # substituting q = 1 counts occupation patterns; never divide the
         # closed product form there
         for N, M in ((2, 2), (3, 3)):
-            for k in range(N * M + 1):
-                assert z2d_reduction(N, M, k).evaluate(Fraction(1)) == math.comb(N * M, k)
+            for k, poly in enumerate(z2d_reduction(N, M)):
+                assert poly.evaluate(Fraction(1)) == math.comb(N * M, k)
