@@ -77,6 +77,8 @@ def _parse_q(text: str, as_float: bool):
         value = Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"q must be a rational with a nonzero denominator, got {text}") from None
+    except ValueError:
+        raise ValueError(f"q must be a rational such as 1/2 or 0.5, got {text!r}") from None
     if as_float:
         value = float(value)  # correctly rounded: "0.5" and "1/2" give the same float
     if not 0 < value < 1:

@@ -309,20 +309,23 @@ class TailBound:
 # -- exact sampling -------------------------------------------------------------
 
 
-def _bernoulli_exact(rng: random.Random, num: int, den: int, max_bits: int = 256) -> bool:
+_BERNOULLI_BITS = 256
+
+
+def _bernoulli_exact(rng: random.Random, num: int, den: int) -> bool:
     """Exact Bernoulli(num/den) draw by lazy binary-digit comparison, den > 0.
 
     Compares a uniform bit stream with the binary expansion of num/den,
     consuming an expected two bits.  The digits depend only on the value of
     num/den, not on how it is written, so the pair need not be reduced.  The
-    max_bits cutoff bounds the resolution at 2^-max_bits, far below any
-    statistical test's sensitivity.
+    cutoff at ``_BERNOULLI_BITS`` bits bounds the resolution at 2^-256, far
+    below any statistical test's sensitivity.
     """
     if num <= 0:
         return False
     if num >= den:
         return True
-    for _ in range(max_bits):
+    for _ in range(_BERNOULLI_BITS):
         num *= 2
         digit, num = divmod(num, den)
         bit = rng.getrandbits(1)

@@ -111,8 +111,9 @@ def _gauss_coeffs(a: int, b: int) -> list[int]:
 
 def _z_from_gauss(n: int, coeffs: list[int]) -> QPoly:
     """q^(n(n+1)) times the polynomial in q^2 with the given dense coefficients."""
-    base = n * (n + 1)
-    return QPoly({base + 2 * j: c for j, c in enumerate(coeffs) if c})
+    dense = [0] * (2 * len(coeffs) - 1)
+    dense[::2] = coeffs
+    return QPoly.dense(n * (n + 1), dense)
 
 
 def z_closed(n: int, m: int) -> QPoly:

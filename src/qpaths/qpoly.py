@@ -1,23 +1,24 @@
-"""Exact sparse polynomial arithmetic in the anisotropy variable q.
+"""Exact dense polynomial arithmetic in the anisotropy variable q.
 
-A polynomial is stored as a dict mapping exponent (a non-negative int) to a
-nonzero arbitrary-precision integer coefficient:
+A polynomial is its valuation (lowest exponent) and the dense list of
+coefficients from there up, first and last entry nonzero; zero is low 0 and
+the empty list.  Memory grows with the degree, not with the number of terms:
 
-    q^2 + 3*q^4  ->  {2: 1, 4: 3}
+    q^2 + 3*q^4  ->  low 2, coeffs [1, 0, 3]
 
-The empty dict is the zero polynomial.  All arithmetic is exact: coefficients
-are Python ints, evaluation at a ``Fraction`` point produces a ``Fraction``
-with no rounding anywhere.  This makes polynomial identities and inequalities
-decidable, which the verification suites rely on.
+All arithmetic is exact: coefficients are Python ints, evaluation at a
+``Fraction`` point produces a ``Fraction`` with no rounding anywhere.  This
+makes polynomial identities and inequalities decidable, which the
+verification suites rely on.
 
-Exact evaluation at q = a/b is integer Horner: the terms are walked from the
-highest exponent down, multiplying by powers of a and b across exponent
-gaps, and one ``Fraction`` is built at the end, so a value costs one gcd
-rather than one per term.  A ratio scales its numerator and denominator to
-the same power of b and becomes one ``Fraction`` of two integers.
+Exact evaluation at q = a/b is integer Horner down the list, multiplying by
+powers of a and b across runs of zeros, and one ``Fraction`` is built at
+the end, so a value costs one gcd rather than one per term.  A ratio scales
+its numerator and denominator to the same power of b and becomes one
+``Fraction`` of two integers.
 
 Values are immutable after construction and safe to share across threads;
-every operation returns a new object.
+every operation returns a new object, which may share an operand's list.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add, sub
 from typing import Iterable, Mapping, Union
 
 from .errors import DomainError
@@ -46,143 +48,143 @@ def _any_length_ints():
         set_limit(old)
 
 
-def _horner(terms: tuple[tuple[int, int], ...], a: int, b: int, top: int) -> int:
-    """b^top * p(a/b) as an integer, for p given by its sorted terms and top >= deg p.
+def _horner(low: int, coeffs: list[int], a: int, b: int, top: int) -> int:
+    """b^top * p(a/b) as an integer, for canonical p = q^low * sum coeffs[i] q^i, top >= deg p.
 
-    Integer Horner from the highest exponent down: across each gap g the
-    accumulator is multiplied by a^g and the power of b grows by b^g.  The
-    common factor a^low of every term is applied once at the end.
+    Integer Horner from the top of the list down, skipping zeros: across a
+    gap of g places the accumulator is multiplied by a^g and the power of b
+    grows by b^g.  The common factor a^low is applied once at the end.
     """
-    if not terms:
+    if not coeffs:
         return 0
-    (low, acc), *rest = reversed(terms)
-    b_power = b ** (top - low)
-    acc *= b_power
-    for e, c in rest:
-        gap = low - e
-        b_power *= b**gap
-        acc = acc * a**gap + c * b_power
-        low = e
+    acc, gap, b_power = 0, 0, b ** (top - low - len(coeffs) + 1)
+    for c in reversed(coeffs):
+        if c:
+            b_power *= b**gap
+            acc = acc * a**gap + c * b_power
+            gap = 0
+        gap += 1
     return acc * a**low
 
 
 class QPoly:
-    """Sparse polynomial in q with integer coefficients, canonical form.
+    """Dense polynomial in q with integer coefficients, canonical form.
 
-    Canonical form means no stored coefficient is zero, so equality is plain
-    term-by-term dict equality.
+    Canonical form means the coefficient list neither starts nor ends with
+    a zero (see ``dense``), so equality compares valuation and list.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_low", "_coeffs")
 
-    def __init__(self, terms: Mapping[int, int] | Iterable[tuple[int, int]] | None = None):
-        data: dict[int, int] = {}
-        if terms is not None:
-            items = terms.items() if isinstance(terms, Mapping) else terms
-            for exp, coeff in items:
-                if exp < 0:
-                    raise ValueError(f"negative exponent {exp}")
-                c = data.get(exp, 0) + coeff
-                if c:
-                    data[exp] = c
-                elif exp in data:
-                    del data[exp]
-        self._terms = data
+    def __new__(cls, terms: Mapping[int, int] | Iterable[tuple[int, int]] | None = None):
+        items = list(terms.items() if isinstance(terms, Mapping) else terms or ())
+        low = min((e for e, _ in items), default=0)
+        coeffs = [0] * (max((e for e, _ in items), default=-1) - low + 1)
+        for e, c in items:
+            coeffs[e - low] += c
+        return cls.dense(low, coeffs)
+
+    @classmethod
+    def dense(cls, low: int, coeffs: list[int]) -> QPoly:
+        """q^low * sum coeffs[i] q^i, made canonical here by moving the zeros at the
+        list's ends into low.  A canonical list is kept, so the caller must not change it."""
+        if low < 0:
+            raise ValueError(f"negative exponent {low}")
+        if not (coeffs and coeffs[0] and coeffs[-1]):
+            nonzero = [i for i, c in enumerate(coeffs) if c]
+            coeffs = coeffs[nonzero[0] : nonzero[-1] + 1] if nonzero else []
+            low = low + nonzero[0] if nonzero else 0
+        out = object.__new__(cls)
+        out._low, out._coeffs = low, coeffs
+        return out
 
     @classmethod
     def zero(cls) -> QPoly:
-        return cls()
+        return cls.dense(0, [])
 
     @classmethod
     def one(cls) -> QPoly:
-        return cls({0: 1})
+        return cls.dense(0, [1])
 
     @classmethod
     def monomial(cls, exp: int, coeff: int = 1) -> QPoly:
         """The single term coeff * q^exp."""
-        return cls({exp: coeff})
+        return cls.dense(exp, [coeff])
 
     # -- inspection ---------------------------------------------------------
 
     def terms(self) -> tuple[tuple[int, int], ...]:
-        """(exponent, coefficient) pairs sorted by exponent."""
-        return tuple(sorted(self._terms.items()))
+        """(exponent, coefficient) pairs of the nonzero terms, sorted by exponent."""
+        return tuple((e, c) for e, c in enumerate(self._coeffs, self._low) if c)
 
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._coeffs
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._coeffs)
 
     def __len__(self) -> int:
-        return len(self._terms)
+        return len(self._coeffs) - self._coeffs.count(0)
 
     def min_exponent(self) -> int:
-        if not self._terms:
+        if not self._coeffs:
             raise ValueError("zero polynomial has no minimum exponent")
-        return min(self._terms)
+        return self._low
 
     def max_exponent(self) -> int:
-        if not self._terms:
+        if not self._coeffs:
             raise ValueError("zero polynomial has no degree")
-        return max(self._terms)
+        return self._low + len(self._coeffs) - 1
 
     def all_coefficients_positive(self) -> bool:
-        return all(c > 0 for c in self._terms.values())
+        return all(c >= 0 for c in self._coeffs)  # the zeros inside the list are not terms
 
     def has_even_exponents_only(self) -> bool:
-        return all(e % 2 == 0 for e in self._terms)
+        return not any(self._coeffs[(self._low + 1) % 2 :: 2])
 
     # -- ring operations ----------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QPoly):
             return NotImplemented
-        return self._terms == other._terms
+        return self._low == other._low and self._coeffs == other._coeffs
 
     def __hash__(self) -> int:
-        return hash(self.terms())
+        return hash((self._low, tuple(self._coeffs)))
 
     def __neg__(self) -> QPoly:
-        out = QPoly()
-        out._terms = {e: -c for e, c in self._terms.items()}
-        return out
+        return QPoly.dense(self._low, [-c for c in self._coeffs])
+
+    def _combine(self, other: QPoly, op) -> QPoly:
+        if not isinstance(other, QPoly):
+            return NotImplemented
+        a, b = self._coeffs, other._coeffs
+        la, lb = (self._low if a else other._low), (other._low if b else self._low)
+        low = min(la, lb)
+        out = [0] * (max(la + len(a), lb + len(b)) - low)
+        out[la - low : la - low + len(a)] = a
+        lb -= low
+        out[lb : lb + len(b)] = map(op, out[lb : lb + len(b)], b)
+        return QPoly.dense(low, out)
 
     def __add__(self, other: QPoly) -> QPoly:
-        if not isinstance(other, QPoly):
-            return NotImplemented
-        data = dict(self._terms)
-        for e, c in other._terms.items():
-            s = data.get(e, 0) + c
-            if s:
-                data[e] = s
-            elif e in data:
-                del data[e]
-        out = QPoly()
-        out._terms = data
-        return out
+        return self._combine(other, add)
 
     def __sub__(self, other: QPoly) -> QPoly:
-        if not isinstance(other, QPoly):
-            return NotImplemented
-        return self + (-other)
+        return self._combine(other, sub)
 
     def __mul__(self, other: QPoly) -> QPoly:
         if not isinstance(other, QPoly):
             return NotImplemented
-        data: dict[int, int] = {}
-        for ea, ca in self._terms.items():
-            for eb, cb in other._terms.items():
-                e = ea + eb
-                s = data.get(e, 0) + ca * cb
-                if s:
-                    data[e] = s
-                elif e in data:
-                    del data[e]
-        out = QPoly()
-        out._terms = data
-        return out
+        a, b = self._coeffs, other._coeffs
+        out = [0] * (len(a) + len(b) - 1)
+        b_terms = [(j, y) for j, y in enumerate(b) if y]
+        for i, x in enumerate(a):
+            if x:
+                for j, y in b_terms:
+                    out[i + j] += x * y
+        return QPoly.dense(self._low + other._low, out)
 
     def __pow__(self, n: int) -> QPoly:
         if not isinstance(n, int) or n < 0:
@@ -197,12 +199,10 @@ class QPoly:
         return result
 
     def shift(self, k: int) -> QPoly:
-        """Multiply by q^k: every exponent increases by k, coefficients unchanged."""
+        """Multiply by q^k: the valuation grows by k and the list is shared."""
         if k < 0:
             raise ValueError("shift must be non-negative")
-        out = QPoly()
-        out._terms = {e + k: c for e, c in self._terms.items()}
-        return out
+        return QPoly.dense(self._low + k, self._coeffs)
 
     # -- evaluation and serialization ----------------------------------------
 
@@ -213,8 +213,8 @@ class QPoly:
         floats however they were built.
         """
         if isinstance(q, Fraction):
-            top = max(self._terms, default=0)
-            return Fraction(_horner(self.terms(), q.numerator, q.denominator, top), q.denominator**top)
+            a, b, top = q.numerator, q.denominator, self.max_exponent() if self else 0
+            return Fraction(_horner(self._low, self._coeffs, a, b, top), b**top)
         return float(sum(c * q**e for e, c in self.terms()))
 
     def to_json_obj(self) -> list[list]:
@@ -228,7 +228,7 @@ class QPoly:
             return cls((int(e), int(c)) for e, c in obj)
 
     def __str__(self) -> str:
-        if not self._terms:
+        if not self._coeffs:
             return "0"
         parts = []
         for e, c in self.terms():
@@ -269,14 +269,14 @@ class QRational:
         if isinstance(q, Fraction):
             a, b = q.numerator, q.denominator
             top = max(p.max_exponent() for p in (num, den) if p)
-            d = _horner(den.terms(), a, b, top)
+            d = _horner(den._low, den._coeffs, a, b, top)
             if d == 0:
                 raise ZeroDivisionError(f"denominator vanishes at q={q}")
-            return Fraction(_horner(num.terms(), a, b, top), d)
+            return Fraction(_horner(num._low, num._coeffs, a, b, top), d)
         # The lowest power of q can underflow a float on its own where
         # the ratio is well inside range, so divide it out of both first.
         v = min(p.min_exponent() for p in (num, den) if p)
-        num, den = (QPoly((e - v, c) for e, c in p.terms()) for p in (num, den))
+        num, den = (QPoly.dense(p._low - v, p._coeffs) if p else p for p in (num, den))
         try:
             d = den.evaluate(q)
             n = num.evaluate(q)

@@ -98,9 +98,8 @@ def z2d_oracle(N: int, M: int) -> list[QPoly]:
     esp = [QPoly.one()] + [QPoly.zero()] * (N * M)
     seen = 0
     for j in range(N, N + M):
-        weight = QPoly.monomial(2 * j)
         for _ in range(N):
             seen += 1
             for i in range(seen, 0, -1):
-                esp[i] = esp[i] + weight * esp[i - 1]
+                esp[i] = esp[i] + esp[i - 1].shift(2 * j)
     return esp

@@ -49,6 +49,7 @@ from .paths import BoxSpec, enumerate_paths, oracle_partition
 from .qpoly import QPoly
 
 _MAX_REPORTED_FAILURES = 5
+_OUT_OF_REGIME_INSTANCES = 200
 
 
 @dataclass
@@ -146,6 +147,18 @@ def run_identity_suite(
     pascal_lower = IdentityRecord(
         "pascal-lower-corner", "Z(n,m) = q^(2n) Z(n-1,m) + q^(2n) Z(n,m-1)"
     )
+    corner_split = IdentityRecord(
+        "corner-split", "Z(n,m) = q^2 Z(1,0;n,m) + Z(0,1;n,m)"
+    )
+    neighbor = IdentityRecord(
+        "neighbor-ratio",
+        "q^(2n)(1-q^(2(n+m))) Z(n-1,m) = (1-q^(2n)) Z(n,m) and "
+        "(1-q^(2(n+m))) Z(n,m-1) = (1-q^(2m)) Z(n,m)",
+    )
+    diagonal = IdentityRecord(
+        "diagonal-ratio",
+        "q^(2n)(1-q^(2(L-1)))(1-q^(2L)) Z(n-1,m-1) = (1-q^(2n))(1-q^(2m)) Z(n,m)",
+    )
     for n in range(1, max_nm + 1):
         for m in range(1, max_nm + 1):
             z = z_cached(n, m, cache)
@@ -153,6 +166,19 @@ def run_identity_suite(
             up = z_cached(n - 1, m, cache)
             pascal_upper.check(z == left + up.shift(2 * (n + m)), {"n": n, "m": m})
             pascal_lower.check(z == (up + left).shift(2 * n), {"n": n, "m": m})
+            split = z_generalized(BoxSpec(1, 0, n, m), cache).shift(2) + z_generalized(
+                BoxSpec(0, 1, n, m), cache
+            )
+            corner_split.check(z == split, {"n": n, "m": m})
+            # p (1 - q^k) is p - p.shift(k)
+            ell, zn = n + m, z - z.shift(2 * n)
+            horiz = (up - up.shift(2 * ell)).shift(2 * n) == zn
+            vert = left - left.shift(2 * ell) == z - z.shift(2 * m)
+            neighbor.check(horiz and vert, {"n": n, "m": m})
+            corner = z_cached(n - 1, m - 1, cache)
+            corner = corner - corner.shift(2 * (ell - 1))
+            diag = (corner - corner.shift(2 * ell)).shift(2 * n) == zn - zn.shift(2 * m)
+            diagonal.check(diag, {"n": n, "m": m})
 
     markov = IdentityRecord(
         "markov-cut-factorization",
@@ -186,11 +212,22 @@ def run_identity_suite(
     transpose = IdentityRecord(
         "transpose-symmetry", "q^(m(m+1)) Z(n,m) = q^(n(n+1)) Z(m,n)"
     )
+    window = IdentityRecord(
+        "degree-window",
+        "Z(n,m) has positive coefficients, even exponents in [n(n+1), n(n+1)+2nm]",
+    )
     for n, m in _sectors(max_nm):
+        z = z_cached(n, m, cache)
         transpose.check(
-            z_cached(n, m, cache).shift(m * (m + 1)) == z_cached(m, n, cache).shift(n * (n + 1)),
-            {"n": n, "m": m},
+            z.shift(m * (m + 1)) == z_cached(m, n, cache).shift(n * (n + 1)), {"n": n, "m": m}
         )
+        ok = (
+            z.all_coefficients_positive()
+            and z.has_even_exponents_only()
+            and z.min_exponent() == n * (n + 1)
+            and z.max_exponent() == n * (n + 1) + 2 * n * m
+        )
+        window.check(ok, {"n": n, "m": m})
 
     box_transpose = IdentityRecord(
         "box-transpose-symmetry",
@@ -203,54 +240,6 @@ def run_identity_suite(
             (box.n + box.m0) * (box.n + box.m0 + 1)
         )
         box_transpose.check(lhs == rhs, {"box": (box.n0, box.m0, box.n, box.m)})
-
-    corner_split = IdentityRecord(
-        "corner-split", "Z(n,m) = q^2 Z(1,0;n,m) + Z(0,1;n,m)"
-    )
-    for n in range(1, max_nm + 1):
-        for m in range(1, max_nm + 1):
-            lhs = z_cached(n, m, cache)
-            rhs = z_generalized(BoxSpec(1, 0, n, m), cache).shift(2) + z_generalized(
-                BoxSpec(0, 1, n, m), cache
-            )
-            corner_split.check(lhs == rhs, {"n": n, "m": m})
-
-    neighbor = IdentityRecord(
-        "neighbor-ratio",
-        "q^(2n)(1-q^(2(n+m))) Z(n-1,m) = (1-q^(2n)) Z(n,m) and "
-        "(1-q^(2(n+m))) Z(n,m-1) = (1-q^(2m)) Z(n,m)",
-    )
-    diagonal = IdentityRecord(
-        "diagonal-ratio",
-        "q^(2n)(1-q^(2(L-1)))(1-q^(2L)) Z(n-1,m-1) = (1-q^(2n))(1-q^(2m)) Z(n,m)",
-    )
-    for n in range(1, max_nm + 1):
-        for m in range(1, max_nm + 1):
-            # p (1 - q^k) is p - p.shift(k)
-            z = z_cached(n, m, cache)
-            up, left = z_cached(n - 1, m, cache), z_cached(n, m - 1, cache)
-            ell, zn = n + m, z - z.shift(2 * n)
-            horiz = (up - up.shift(2 * ell)).shift(2 * n) == zn
-            vert = left - left.shift(2 * ell) == z - z.shift(2 * m)
-            neighbor.check(horiz and vert, {"n": n, "m": m})
-            corner = z_cached(n - 1, m - 1, cache)
-            corner = corner - corner.shift(2 * (ell - 1))
-            diag = (corner - corner.shift(2 * ell)).shift(2 * n) == zn - zn.shift(2 * m)
-            diagonal.check(diag, {"n": n, "m": m})
-
-    window = IdentityRecord(
-        "degree-window",
-        "Z(n,m) has positive coefficients, even exponents in [n(n+1), n(n+1)+2nm]",
-    )
-    for n, m in _sectors(max_nm):
-        z = z_cached(n, m, cache)
-        ok = (
-            z.all_coefficients_positive()
-            and z.has_even_exponents_only()
-            and z.min_exponent() == n * (n + 1)
-            and z.max_exponent() == n * (n + 1) + 2 * n * m
-        )
-        window.check(ok, {"n": n, "m": m})
 
     box_min = IdentityRecord(
         "box-min-exponent",
@@ -314,7 +303,6 @@ def run_bound_suite(
     max_chain: int = 8,
     q_grid: Sequence[Fraction] = DEFAULT_Q_GRID,
     seed: int = 0,
-    out_of_regime_instances: int = 200,
     cache: Optional[ZCache] = None,
 ) -> VerificationReport:
     """Inequality checks at exact rational q: in-regime failures are hard,
@@ -393,7 +381,7 @@ def run_bound_suite(
                             prob.evaluate(q) <= exp_bound(query, q),
                             {"n": n, "m": m, "sites": sites, "spins": spins, "q": q},
                         )
-    for _ in range(out_of_regime_instances):
+    for _ in range(_OUT_OF_REGIME_INSTANCES):
         n = rng.randint(0, max_chain)
         m = rng.randint(0, max_chain - n)
         if n + m < 1:

@@ -131,6 +131,10 @@ def test_bad_rational_or_sweep_file_is_a_diagnostic(argv, capsys):
         (["sample", "--n", "1", "--m", "1", "--q", "1/2", "--seed", "0", "--count", "-1"],
          "--count must be >= 0"),
         (["correlate", "--n", "2", "--m", "2", "--sites", "x:down"], "--sites entry 'x:down'"),
+        (["partition", "--n", "1", "--m", "1", "--eval", "abc"],
+         "q must be a rational such as 1/2 or 0.5, got 'abc'"),
+        (["verify", "bounds", "--q-grid", "1/2,,4/5"],
+         "q must be a rational such as 1/2 or 0.5, got ''"),
     ],
 )
 def test_diagnostic_names_the_precondition(argv, message, capsys):

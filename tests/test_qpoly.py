@@ -3,10 +3,11 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qpaths.errors import DomainError
+from qpaths.partition import z_closed
 from qpaths.qpoly import ModelParameters, QPoly, QRational
 
 
@@ -28,6 +29,42 @@ def fraction_sum(poly, q):
     return sum((c * q**e for e, c in poly.terms()), Fraction(0))
 
 
+class DictPoly:
+    """Test-only oracle: sparse dict {exponent: nonzero coefficient} arithmetic,
+    term by term, sharing nothing with ``QPoly``'s dense lists."""
+
+    def __init__(self, pairs=()):
+        self.d = {}
+        for e, c in pairs.items() if isinstance(pairs, dict) else pairs:
+            s = self.d.get(e, 0) + c
+            if s:
+                self.d[e] = s
+            else:
+                self.d.pop(e, None)
+
+    def __eq__(self, other):
+        return self.d == other.d
+
+    def __add__(self, other):
+        return DictPoly([*self.d.items(), *other.d.items()])
+
+    def __sub__(self, other):
+        return DictPoly([*self.d.items(), *((e, -c) for e, c in other.d.items())])
+
+    def __mul__(self, other):
+        return DictPoly([(ea + eb, ca * cb) for ea, ca in self.d.items() for eb, cb in other.d.items()])
+
+    def shift(self, k):
+        return DictPoly({e + k: c for e, c in self.d.items()})
+
+    def terms(self):
+        return tuple(sorted(self.d.items()))
+
+    def float_value(self, x):
+        """Summed in exponent order, the order ``QPoly.evaluate`` promises."""
+        return float(sum(c * x**e for e, c in self.terms()))
+
+
 class TestConstruction:
     def test_canonical_drops_zero_coefficients(self):
         assert P({3: 0, 2: 5}) == P({2: 5})
@@ -40,6 +77,12 @@ class TestConstruction:
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError):
             P({-1: 1})
+
+    def test_dense_moves_end_zeros_into_the_valuation(self):
+        assert QPoly.dense(3, [0, 1, 0, 2, 0]) == P({4: 1, 6: 2})
+        assert QPoly.dense(3, [0, 0]) == QPoly.zero() == QPoly.dense(0, [])
+        with pytest.raises(ValueError):
+            QPoly.dense(-1, [1])
 
     def test_terms_sorted(self):
         assert P({4: 1, 2: 3}).terms() == ((2, 3), (4, 1))
@@ -192,6 +235,135 @@ def test_exact_ratio_matches_the_per_term_sums(a, b, q):
 @given(polys)
 def test_serialization_roundtrip(p):
     assert QPoly.from_json_obj(json.loads(json.dumps(p.to_json_obj()))) == p
+
+
+#: Sparse inputs with odd exponents up to 500 and signed 100-bit coefficients.
+sparse = st.dictionaries(st.integers(0, 500), st.integers(-(10**30), 10**30), max_size=12)
+floats = st.floats(-2, 2, allow_nan=False)
+
+
+@st.composite
+def cancelling(draw):
+    """(a, b) where b is minus a's lowest terms, its highest terms or all of a,
+    so a + b cancels at the low end, at the high end or to zero."""
+    a = draw(sparse)
+    ordered = sorted(a.items())
+    k = draw(st.integers(0, len(ordered)))
+    chosen = draw(st.sampled_from([ordered[:k], ordered[len(ordered) - k :], ordered]))
+    return a, {e: -c for e, c in chosen}
+
+
+def same_float(x, y):
+    """Bit-identical floats (-0.0 and 0.0 differ)."""
+    return x.hex() == y.hex()
+
+
+def float_or_overflow(f, *args):
+    try:
+        return f(*args)
+    except OverflowError:
+        return "overflow"
+
+
+class TestAgainstTheDictOracle:
+    @given(st.one_of(st.tuples(sparse, sparse), cancelling()))
+    def test_ring_operations(self, pair):
+        a, b = pair
+        for op in ("__add__", "__sub__", "__mul__"):
+            got = getattr(QPoly(a), op)(QPoly(b))
+            assert got.terms() == getattr(DictPoly(a), op)(DictPoly(b)).terms()
+
+    @given(cancelling())
+    def test_cancellation_leaves_canonical_values(self, pair):
+        a, b = pair
+        got, want = QPoly(a) + QPoly(b), DictPoly(a) + DictPoly(b)
+        assert got == QPoly(want.d) and hash(got) == hash(QPoly(want.d))
+        assert got.is_zero == (not want.d)
+        if want.d:
+            assert (got.min_exponent(), got.max_exponent()) == (min(want.d), max(want.d))
+
+    @given(sparse, st.integers(0, 500))
+    def test_shift_and_inspection(self, a, k):
+        p, want = QPoly(a).shift(k), DictPoly(a).shift(k)
+        assert p.terms() == want.terms()
+        assert len(p) == len(want.d)
+        assert p.has_even_exponents_only() == all(e % 2 == 0 for e in want.d)
+        assert p.all_coefficients_positive() == all(c > 0 for c in want.d.values())
+        if want.d:
+            assert (p.min_exponent(), p.max_exponent()) == (min(want.d), max(want.d))
+        else:
+            with pytest.raises(ValueError):
+                p.min_exponent()
+
+    @given(sparse, sparse)
+    def test_equality_and_hash(self, a, b):
+        p, q = QPoly(a), QPoly(b)
+        assert (p == q) == (DictPoly(a) == DictPoly(b))
+        rebuilt = QPoly(list(a.items())[::-1]) + q - q
+        assert rebuilt == p and hash(rebuilt) == hash(p)
+
+    @given(sparse)
+    def test_json_roundtrip(self, a):
+        p = QPoly(a)
+        obj = p.to_json_obj()
+        assert obj == [[e, str(c)] for e, c in DictPoly(a).terms()]
+        assert QPoly.from_json_obj(json.loads(json.dumps(obj))) == p
+
+    @given(sparse, wide_rationals)
+    def test_exact_evaluate(self, a, q):
+        assert QPoly(a).evaluate(q) == sum(
+            (c * q**e for e, c in DictPoly(a).terms()), Fraction(0)
+        )
+
+    @given(sparse, floats)
+    def test_float_evaluate_is_bit_identical(self, a, x):
+        got = float_or_overflow(QPoly(a).evaluate, x)
+        want = float_or_overflow(DictPoly(a).float_value, x)
+        assert got == want if "overflow" in (got, want) else same_float(got, want)
+
+    @given(sparse, sparse, st.floats(0.01, 1.5))
+    def test_float_ratio_is_bit_identical(self, a, b, x):
+        num, den = DictPoly(a), DictPoly(b)
+        assume(den.d)
+        # the oracle divides the lowest power out of both sides by rebuilding terms
+        v = min(min(p.d) for p in (num, den) if p.d)
+        num, den = (DictPoly({e - v: c for e, c in p.d.items()}) for p in (num, den))
+        try:
+            want = num.float_value(x) / den.float_value(x)
+        except (OverflowError, ZeroDivisionError):
+            return
+        assert same_float(QRational(QPoly(a), QPoly(b)).evaluate(x), want)
+
+
+@settings(max_examples=5, deadline=None)
+@given(st.integers(60, 80), st.integers(60, 80), st.integers(1, 200))
+def test_large_partition_functions_against_the_dict_oracle(n, m, k):
+    z = z_closed(n, m)
+    want = DictPoly(z_closed(n, m - 1).terms()) + DictPoly(z_closed(n - 1, m).terms()).shift(
+        2 * (n + m)
+    )
+    assert z.terms() == want.terms()
+    assert len(z) == n * m + 1 and z.max_exponent() - z.min_exponent() == 2 * n * m
+    factor = {0: 1, k: -1}  # Z (1 - q^k) cancels nowhere at the ends
+    assert (z * QPoly(factor)).terms() == (want * DictPoly(factor)).terms()
+    assert (z - z.shift(k)) == z * QPoly(factor)
+    assert QPoly.from_json_obj(z.to_json_obj()) == z
+    top = z.max_exponent()  # per-term sum at q = 2/3, scaled by 3^top to stay in integers
+    assert z.evaluate(Fraction(2, 3)) == Fraction(
+        sum(c * 2**e * 3 ** (top - e) for e, c in want.terms()), 3**top
+    )
+    assert same_float(z.evaluate(0.9), want.float_value(0.9))
+
+
+def test_wide_sparse_input():
+    p = QPoly({0: 1, 100000: 1})
+    assert len(p) == 2 and p.terms() == ((0, 1), (100000, 1))
+    assert (p * p).terms() == ((0, 1), (100000, 2), (200000, 1))
+    assert (p - QPoly({0: 1})).terms() == ((100000, 1),)
+    assert (p - p).is_zero and (p - p) == QPoly.zero()
+    assert p.evaluate(Fraction(1, 2)) == 1 + Fraction(1, 2**100000)
+    assert p.evaluate(0.5) == 1.0
+    assert QPoly.from_json_obj(p.to_json_obj()) == p
 
 
 class TestModelParameters:
