@@ -79,10 +79,12 @@ def _parse_q(text: str, as_float: bool):
         raise ValueError(f"q must be a rational with a nonzero denominator, got {text}") from None
     except ValueError:
         raise ValueError(f"q must be a rational such as 1/2 or 0.5, got {text!r}") from None
-    if as_float:
-        value = float(value)  # correctly rounded: "0.5" and "1/2" give the same float
     if not 0 < value < 1:
         raise DomainError(f"q must lie strictly in (0, 1), got {text}")
+    if as_float:
+        value = float(value)  # correctly rounded: "0.5" and "1/2" give the same float
+        if not 0 < value < 1:
+            raise DomainError(f"q must lie strictly in (0, 1) as a float; {text} rounds to {value}")
     return value
 
 
@@ -142,6 +144,7 @@ def _emit(args, envelope: dict, table: Optional[tuple[list[str], list[list]]]):
 
 
 def _run_partition(args) -> tuple:
+    _check_sizes(args, "cap")
     cache = _make_cache()
     if args.oracle:
         poly = oracle_partition(BoxSpec.sector(args.n, args.m), cap=args.cap)

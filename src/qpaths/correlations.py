@@ -9,12 +9,12 @@ here is therefore a ratio of weighted path sums and is returned as a
 A configuration with n down spins is an n-subset of the sites 1..L, weighted
 by q^(2x) per down site x, so Z(n, L-n) = e_n(q^2, ..., q^(2L)) is the
 coefficient of z^n in E(z) = prod_x (1 + z q^(2x)).  Fixing the spins at a
-set of sites removes their factors from E(z): every joint spin probability
-is read off E(z) deflated by those factors (``_constrained_prob``), and is
-tested against brute-force configuration sums.  The coefficients of E(z)
-come from ``z_row``, which builds Z(0, L), ..., Z(k, L-k) in one pass along
-the Gaussian binomials [L, j] instead of one closed form per entry; the
-window law multiplies such rows for the window and the two sides.
+set of sites removes their factors from E(z) (``_deflate``): every joint
+spin probability, and the window law's weight of the sites outside the
+window, is read off E(z) deflated by those factors, and is tested against
+brute-force configuration sums.  The coefficients of E(z) come from
+``z_row``, which builds Z(0, L), ..., Z(k, L-k) in one pass along the
+Gaussian binomials [L, j] instead of one closed form per entry.
 """
 
 from __future__ import annotations
@@ -94,25 +94,29 @@ def point_prob(n: int, m: int, x: int, y: int, cache: Optional[ZCache] = None) -
     return QRational(num, z_cached(n, m, cache))
 
 
+def _deflate(row: list[QPoly], sites: Iterable[int], k: int) -> list[QPoly]:
+    """Entries 0..k of E(z) / prod_{c in sites} (1 + z q^(2c)), E(z) = sum_j row[j] z^j,
+    by the recurrence f_j <- f_j - q^(2c) f_(j-1) on a copy of row[:k+1]."""
+    out = row[: k + 1]
+    for c in sites:
+        for j in range(1, k + 1):
+            out[j] = out[j] - out[j - 1].shift(2 * c)
+    return out
+
+
 def _constrained_prob(
     n: int, m: int, sites: Sequence[int], downs: Sequence[int], cache: Optional[ZCache]
 ) -> QRational:
     """Probability that the spins at ``sites`` are down exactly at ``downs``.
 
-    With v = |downs|, the numerator is q^(2 sum(downs)) times the coefficient
-    of z^(n-v) in E(z) / prod_{c in sites} (1 + z q^(2c)).  Each division is
-    the recurrence f_j <- f_j - q^(2c) f_(j-1) on the row f_j = Z(j, L-j),
-    j <= n-v, from one ``z_row`` call whose last entry Z(n, m) is the
-    denominator.  The numerator is an exact zero when the counts do not fit.
+    With v = |downs|, the numerator is q^(2 sum(downs)) times entry n-v of
+    the row Z(j, L-j), j <= n, deflated by the sites (``_deflate``), or an
+    exact zero when the counts do not fit; the row's Z(n, m) is the denominator.
     """
     row = z_row(n + m, n, cache)
-    den = row[n]
     k = n - len(downs)
-    for c in sites:
-        for j in range(1, k + 1):
-            row[j] = row[j] - row[j - 1].shift(2 * c)
-    num = row[k].shift(2 * sum(downs)) if k >= 0 else QPoly.zero()
-    return QRational(num, den)
+    num = _deflate(row, sites, k)[k].shift(2 * sum(downs)) if k >= 0 else QPoly.zero()
+    return QRational(num, row[n])
 
 
 def spin_down_prob(n: int, m: int, x: int, cache: Optional[ZCache] = None) -> QRational:
@@ -246,25 +250,21 @@ def fluctuation_distribution(
 ) -> dict[int, QRational]:
     """Exact distribution of the window spin F = (#up - #down)/2.
 
-    With d down spins in the window, F = L/2 - d.  Sites 1..t1, the window
-    t1+1..t2 and sites t2+1..N (t1 = (N-L)/2, t2 = (N+L)/2) hold j, d and n-d-j
-    down spins, so with the rows side = Z(j, t1-j) and window = Z(d, L-d),
-    num_d = q^(2 t1 d) window[d] sum_j side[j] side[n-d-j] q^(2 t2 (n-d-j)).
-    Covers every integer value in [-L/2, L/2]; impossible values get an exact
-    zero numerator.
+    With d down spins in the window t1+1..t1+L (t1 = (N-L)/2), F = L/2 - d
+    and num_d = q^(2 t1 d) Z(d, L-d) f_(n-d): f, the weight of the sites
+    outside, is the chain's row Z(j, N-j) deflated by the window's sites
+    (``_deflate``).  Covers every integer value in [-L/2, L/2]; impossible
+    values get an exact zero numerator.
     """
     n = fq.N // 2
     t1 = (fq.N - fq.L) // 2
-    t2 = (fq.N + fq.L) // 2
-    side = z_row(t1, t1, cache)
+    k = min(n, fq.N - fq.L)
+    row = z_row(fq.N, n, cache)
+    outside = _deflate(row, range(t1 + 1, t1 + fq.L + 1), k)
     window = z_row(fq.L, min(fq.L, n), cache)
-    den = z_cached(n, n, cache)
-    dist = {fq.L // 2 - d: QRational(QPoly.zero(), den) for d in range(fq.L + 1)}
-    for d, w in enumerate(window):
-        sides = QPoly.zero()
-        for j in range(max(0, n - d - t1), min(t1, n - d) + 1):
-            sides = sides + side[j] * side[n - d - j].shift(2 * t2 * (n - d - j))
-        dist[fq.L // 2 - d] = QRational((w * sides).shift(2 * t1 * d), den)
+    dist = {fq.L // 2 - d: QRational(QPoly.zero(), row[n]) for d in range(fq.L + 1)}
+    for d in range(n - k, len(window)):
+        dist[fq.L // 2 - d] = QRational((window[d] * outside[n - d]).shift(2 * t1 * d), row[n])
     return dict(sorted(dist.items()))
 
 

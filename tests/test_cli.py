@@ -59,6 +59,12 @@ class TestPartition:
             outs.append(out.replace(f'"eval": "{q}"', '"eval": Q'))  # config echoes the text
         assert outs[0] == outs[1]
 
+    def test_exact_mode_keeps_a_q_that_rounds_to_zero_as_a_float(self, capsys):
+        code, out = run_cli(["partition", "--n", "1", "--m", "1", "--eval", "1e-400"], capsys)
+        assert code == 0
+        value = z_closed(1, 1).evaluate(Fraction(1, 10**400))
+        assert json.loads(out)["result"]["value"] == str(value)
+
     def test_csv_table(self, capsys):
         code, out = run_cli(["partition", "--n", "2", "--m", "1", "--format", "csv"], capsys)
         assert code == 0
@@ -135,6 +141,12 @@ def test_bad_rational_or_sweep_file_is_a_diagnostic(argv, capsys):
          "q must be a rational such as 1/2 or 0.5, got 'abc'"),
         (["verify", "bounds", "--q-grid", "1/2,,4/5"],
          "q must be a rational such as 1/2 or 0.5, got ''"),
+        (["partition", "--n", "1", "--m", "1", "--eval", "1e-400", "--float"],
+         "q must lie strictly in (0, 1) as a float; 1e-400 rounds to 0.0"),
+        (["partition", "--n", "1", "--m", "1", "--eval", "0.99999999999999999", "--float"],
+         "q must lie strictly in (0, 1) as a float; 0.99999999999999999 rounds to 1.0"),
+        (["partition", "--n", "2", "--m", "2", "--oracle", "--cap", "-1"], "--cap must be >= 0"),
+        (["partition", "--n", "2", "--m", "2", "--cap", "-1"], "--cap must be >= 0"),
     ],
 )
 def test_diagnostic_names_the_precondition(argv, message, capsys):

@@ -15,6 +15,7 @@ from qpaths.correlations import (
     FluctuationQuery,
     PathSampler,
     TailBound,
+    _deflate,
     exp_bound,
     fluctuation_distribution,
     multipoint_bound_regime,
@@ -30,7 +31,7 @@ from qpaths.correlations import (
     spin_up_prob,
 )
 from qpaths.errors import DomainError, InconsistentQuery, RangeError
-from qpaths.partition import SectorSpec, ZCache, z_closed, z_generalized
+from qpaths.partition import SectorSpec, ZCache, z_closed, z_generalized, z_row
 from qpaths.paths import DOWN, UP, BoxSpec, Path
 from qpaths.qpoly import QPoly, QRational
 
@@ -384,6 +385,20 @@ class TestFluctuations:
                 assert mean.is_zero
 
 
+@pytest.mark.parametrize("N, L", [(60, 30), (100, 20), (100, 90)])
+def test_window_law_at_paper_scale(N, L):
+    """At q = 1/2, exactly: normalised, symmetric, zero mean, each tail under
+    its bound, and the variance under twice the bound's second moment."""
+    laws = fluctuation_distribution(FluctuationQuery(N, L))
+    dist = {l: p.evaluate(HALF) for l, p in laws.items()}
+    assert sum(dist.values()) == 1
+    assert all(p == dist[-l] for l, p in dist.items())
+    assert sum(l * p for l, p in dist.items()) == 0
+    bounds = {l: TailBound(HALF, L, l).rational_lower() for l in range(1, L // 2 + 1)}
+    assert all(dist[l] <= b for l, b in bounds.items())
+    assert sum(l * l * p for l, p in dist.items()) <= 2 * sum(l * l * b for l, b in bounds.items())
+
+
 class TestTailBound:
     def test_explicit_value(self):
         q = 0.5
@@ -484,6 +499,19 @@ def test_marginalisation_over_one_site(case):
     up = multipoint_prob(CorrelationQuery.build(n, m, assignment + [(y, SPIN_UP)]), cache)
     assert whole.den == down.den == up.den == z_closed(n, m)
     assert whole.num == down.num + up.num
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_deflate_leaves_the_other_sites_elementary_symmetric_polynomials(data):
+    L = data.draw(st.integers(1, 40))
+    sites = data.draw(st.lists(st.integers(1, L), unique=True))
+    k = data.draw(st.integers(0, L - len(sites)))
+    expected = [QPoly.one()] + [QPoly.zero()] * k
+    for c in set(range(1, L + 1)) - set(sites):
+        for j in range(k, 0, -1):
+            expected[j] = expected[j] + expected[j - 1].shift(2 * c)
+    assert _deflate(z_row(L, L, ZCache()), sites, k) == expected
 
 
 @settings(max_examples=25, deadline=None)
