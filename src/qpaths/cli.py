@@ -15,6 +15,8 @@ A sweep file (``--sweep``) holds lines ``flag = value, value, ...``; the
 cartesian product of all listed flags is run in grid order, one compact
 JSON line per grid point (``--format`` does not apply).  A swept flag needs
 no value on the command line; one given there is overridden by the grid.
+A flag listed twice or with no values, or one the subcommand lacks, is a
+usage error, and every grid point is parsed before the first one runs.
 """
 
 from __future__ import annotations
@@ -222,14 +224,14 @@ def _run_sample(args) -> tuple:
 
 
 def _run_reduce2d(args) -> tuple:
-    reduction = z2d_reduction(args.N, args.M, _make_cache())
-    if not args.all and not 0 <= args.k < len(reduction):
-        raise ValueError(f"--k must lie in [0, {len(reduction) - 1}], got {args.k}")
-    ks = range(len(reduction)) if args.all else [args.k]
-    terms = [{"k": k, "polynomial": reduction[k].to_json_obj()} for k in ks]
+    oracle = z2d_oracle(args.N, args.M)
+    if not args.all and not 0 <= args.k < len(oracle):
+        raise ValueError(f"--k must lie in [0, {len(oracle) - 1}], got {args.k}")
+    ks = range(len(oracle)) if args.all else [args.k]
+    terms = [{"k": k, "polynomial": oracle[k].to_json_obj()} for k in ks]
     result = {"terms": terms}
     if args.check:
-        product, oracle = z2d_product(args.N, args.M), z2d_oracle(args.N, args.M)
+        reduction, product = z2d_reduction(args.N, args.M, _make_cache()), z2d_product(args.N, args.M)
         for k, entry in zip(ks, terms):
             entry["compositions"] = [list(c) for c in compositions(args.N, args.M, k)]
             entry["routes_agree"] = reduction[k] == product[k] == oracle[k]
@@ -290,7 +292,12 @@ def _read_sweep_file(path: str) -> dict[str, list[str]]:
         name, _, values = line.partition("=")
         if not _:
             raise ValueError(f"bad sweep line {raw!r}; expected 'flag = v1, v2'")
-        grid[name.strip()] = [v.strip() for v in values.split(",") if v.strip()]
+        name = name.strip()
+        if name in grid:
+            raise ValueError(f"sweep flag --{name} is listed twice in {path}")
+        grid[name] = [v.strip() for v in values.split(",") if v.strip()]
+        if not grid[name]:
+            raise ValueError(f"sweep flag --{name} has no values in {path}")
     if not grid:
         raise ValueError(f"sweep file {path} declares no flags")
     return grid
@@ -312,14 +319,31 @@ def _run(args) -> int:
     return code
 
 
+def _check_swept_flags(parser: argparse.ArgumentParser, argv: list[str], grid: dict):
+    """Name a swept flag the subcommand lacks, which argparse would report as
+    some other flag missing or as an unrecognized argument."""
+    (subs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    command = argv[0] if argv else None
+    if command not in subs.choices:  # not a subcommand; the parse reports it
+        return
+    known = subs.choices[command]._option_string_actions
+    for name in grid:
+        if f"--{name}" not in known:
+            raise ValueError(f"sweep flag --{name} is not an option of {command}")
+
+
 def _run_sweep(parser: argparse.ArgumentParser, argv: list[str], path: str) -> int:
-    """Run ``argv`` once per grid point, the point's flags appended (later flags win)."""
+    """Run ``argv`` once per grid point, the point's flags appended (later flags win).
+
+    Every point is parsed before any runs, so a bad value prints no output.
+    """
     grid = _read_sweep_file(path)
-    worst = 0
+    _check_swept_flags(parser, argv, grid)
+    points = []
     for values in itertools.product(*grid.values()):
         swept = [tok for name, value in zip(grid, values) for tok in (f"--{name}", value)]
-        worst = max(worst, _run(parser.parse_args(argv + swept)))
-    return worst
+        points.append(parser.parse_args(argv + swept))
+    return max(_run(args) for args in points)
 
 
 # -- parser ------------------------------------------------------------------------

@@ -186,18 +186,6 @@ class QPoly:
                     out[i + j] += x * y
         return QPoly.dense(self._low + other._low, out)
 
-    def __pow__(self, n: int) -> QPoly:
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("polynomial powers must be non-negative integers")
-        result = QPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def shift(self, k: int) -> QPoly:
         """Multiply by q^k: the valuation grows by k and the list is shared."""
         if k < 0:

@@ -9,9 +9,14 @@ grand-canonical generating function therefore factorizes,
 which yields three independent routes to [Z2d(k, NM - k) for k = 0..NM]:
 the reduction, the N-th power of the 1D row sum_i Z(i, M-i) z^i (from one
 ``z_row``); coefficient extraction from the product; and the elementary
-symmetric polynomials of the site-weight multiset.  The first two share one
-product of polynomials in z.  All three are cross-checked exactly in the
-tests.
+symmetric polynomials of the site-weight multiset, built by shift-adds
+(``z2d_oracle``).  The first two share one product of polynomials in z.
+
+All k at 12x12 take 0.28 s by shift-adds, 0.74 s by the product and 7.3 s
+by the reduction (one call each on a 2-core Xeon), since the reduction
+multiplies the many-term Z(i, M-i) where the others multiply monomials.  So
+``qpaths reduce2d`` prints the shift-add list, and ``--check`` also builds
+the reduction and the product and compares all three exactly.
 """
 
 from __future__ import annotations
@@ -31,25 +36,26 @@ def _check_shape(N: int, M: int):
 def compositions(N: int, M: int, k: int) -> list[tuple[int, ...]]:
     """All tuples (k_0, ..., k_M) with sum k_i = N and sum i*k_i = k.
 
-    k_i counts the columns holding exactly i down spins.  The list is empty
-    exactly when k is infeasible (k < 0 or k > N*M).
+    k_i counts the columns holding exactly i down spins.  The list is in
+    descending order, empty exactly when k is infeasible (k < 0 or k > N*M).
     """
     _check_shape(N, M)
     found: list[tuple[int, ...]] = []
 
-    def descend(i: int, remaining_columns: int, remaining_weight: int, partial: list[int]):
-        if i == 0:
-            if remaining_weight == 0:
-                found.append((remaining_columns, *reversed(partial)))
+    def descend(i: int, columns: int, weight: int, prefix: tuple[int, ...]):
+        # k_i .. k_M must hold `columns` columns of total weight `weight`,
+        # each column of weight at least i and at most M.
+        if i == M:
+            found.append((*prefix, columns))
             return
-        for k_i in range(min(remaining_columns, remaining_weight // i) + 1):
-            partial.append(k_i)
-            descend(i - 1, remaining_columns - k_i, remaining_weight - i * k_i, partial)
-            partial.pop()
+        for k_i in range(columns, -1, -1):
+            c, w = columns - k_i, weight - i * k_i
+            if (i + 1) * c <= w <= M * c:
+                descend(i + 1, c, w, (*prefix, k_i))
 
     if 0 <= k <= N * M:
-        descend(M, N, k, [])
-    return sorted(found, reverse=True)
+        descend(0, N, k, ())
+    return found
 
 
 def _z_product(a: list[QPoly], b: list[QPoly]) -> list[QPoly]:

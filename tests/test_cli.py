@@ -11,6 +11,10 @@ from qpaths.cli import main
 from qpaths.partition import z_closed
 
 DATA = Path(__file__).parent / "data"
+# A ``python -m qpaths`` child does not inherit pytest's ``pythonpath``.
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH")])
+)}
 
 
 def run_cli(argv, capsys):
@@ -293,6 +297,20 @@ class TestReduce2d:
         assert main(["reduce2d", "--N", "2", "--M", "2", "--k", k]) == 2
         assert capsys.readouterr().err == f"error: --k must lie in [0, 4], got {k}\n"
 
+    def test_only_check_runs_the_reduction(self, monkeypatch, capsys):
+        argv = ["reduce2d", "--N", "3", "--M", "4", "--all"]
+        with monkeypatch.context() as patch:
+            def refuse(*args):
+                raise AssertionError("z2d_reduction called without --check")
+
+            patch.setattr("qpaths.cli.z2d_reduction", refuse)
+            code, out = run_cli(argv, capsys)
+        assert code == 0
+        assert "check_passed" not in json.loads(out)["result"]
+        code, out = run_cli([*argv, "--check"], capsys)
+        assert code == 0
+        assert json.loads(out)["result"]["check_passed"] is True
+
 
 class TestVerify:
     def test_identities_pass(self, capsys):
@@ -359,6 +377,48 @@ class TestSweep:
         code, _ = run_cli(["partition", "--n", "1", "--m", "1", "--sweep", str(grid)], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("n =\n", "sweep flag --n has no values in "),
+            ("n = 1\nm = 2\nn = 2\n", "sweep flag --n is listed twice in "),
+        ],
+        ids=["no-values", "listed-twice"],
+    )
+    def test_malformed_flag_line_is_a_diagnostic(self, text, message, tmp_path, capsys):
+        grid = tmp_path / "grid.cfg"
+        grid.write_text(text, encoding="utf-8")
+        assert main(["partition", "--m", "1", "--sweep", str(grid)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}{grid}\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["partition", "--m", "1"],
+            ["fluctuations", "--N", "4", "--L", "2", "--q", "1/2"],
+        ],
+        ids=["partition", "fluctuations"],
+    )
+    def test_flag_the_subcommand_lacks_is_a_diagnostic(self, argv, tmp_path, capsys):
+        grid = tmp_path / "grid.cfg"
+        grid.write_text("bogus = 1, 2\n", encoding="utf-8")
+        assert main([*argv, "--sweep", str(grid)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: sweep flag --bogus is not an option of {argv[0]}\n"
+
+    def test_every_point_is_parsed_before_any_runs(self, tmp_path, capsys):
+        grid = tmp_path / "grid.cfg"
+        grid.write_text("n = 1, x\n", encoding="utf-8")
+        with pytest.raises(SystemExit) as err:
+            main(["partition", "--m", "1", "--sweep", str(grid)])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --n: invalid int value: 'x'" in captured.err
+
 
 class TestGoldenFiles:
     @pytest.mark.parametrize(
@@ -403,6 +463,7 @@ def test_bad_cache_size_env_var_is_a_diagnostic(raw, monkeypatch, capsys):
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "qpaths", "partition", "--n", "1", "--m", "1"],
+        env=CHILD_ENV,
         capture_output=True,
         text=True,
     )
@@ -419,6 +480,7 @@ def test_stdout_closed_by_its_reader_exits_quietly():
              "--q", "1e-200", "--float"],
             stdout=write_end,
             stderr=subprocess.PIPE,
+            env=CHILD_ENV,
             text=True,
             timeout=60,
         )

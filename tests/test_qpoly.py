@@ -116,11 +116,6 @@ class TestArithmetic:
         # Z(1,2) = q^2 + q^4 + q^6 shifted by 4 gives q^6 + q^8 + q^10 = Z(2,1)
         assert P({2: 1, 4: 1, 6: 1}).shift(4) == P({6: 1, 8: 1, 10: 1})
 
-    def test_pow(self):
-        p = P({0: 1, 2: 1})
-        assert p**0 == QPoly.one()
-        assert p**3 == p * p * p
-
 
 class TestEvaluate:
     def test_exact_substitution(self):
