@@ -47,21 +47,8 @@ from .errors import CapExceeded, DomainError, InconsistentQuery, RangeError
 from .partition import DEFAULT_Q_GRID, ZCache, z_cached, z_recursive
 from .paths import BoxSpec, oracle_partition
 from .qpoly import _any_length_ints
-from .reduction2d import compositions, z2d_oracle, z2d_product, z2d_reduction
+from .reduction2d import _check_shape, compositions, z2d_oracle, z2d_product, z2d_reduction
 from .verify import run_suites
-
-CACHE_SIZE_ENV = "QPATHS_CACHE_SIZE"
-
-
-def _make_cache() -> ZCache:
-    raw = os.environ.get(CACHE_SIZE_ENV)
-    if not raw:
-        return ZCache()
-    try:
-        return ZCache(max_entries=int(raw))
-    except ValueError:
-        raise ValueError(f"{CACHE_SIZE_ENV} must be an integer >= 0, got {raw!r}") from None
-
 
 def _parse_q(text: str, as_float: bool):
     # Bound q's digits as written before Fraction expands them: 1e-1000000
@@ -147,15 +134,14 @@ def _emit(args, envelope: dict, table: Optional[tuple[list[str], list[list]]]):
 
 def _run_partition(args) -> tuple:
     _check_sizes(args, "cap")
-    cache = _make_cache()
     if args.oracle:
         poly = oracle_partition(BoxSpec.sector(args.n, args.m), cap=args.cap)
         method = "oracle"
     elif args.recursive:
-        poly = z_recursive(args.n, args.m, cache)
+        poly = z_recursive(args.n, args.m)
         method = "recursive"
     else:
-        poly = z_cached(args.n, args.m, cache)
+        poly = z_cached(args.n, args.m, ZCache())
         method = "closed"
     q = _parse_q(args.eval, args.float) if args.eval is not None else None
     q_mode = None if q is None else ("float" if args.float else "exact")
@@ -166,9 +152,8 @@ def _run_partition(args) -> tuple:
 
 
 def _run_correlate(args) -> tuple:
-    cache = _make_cache()
     query = CorrelationQuery.build(args.n, args.m, _parse_sites(args.sites))
-    prob = multipoint_prob(query, cache)
+    prob = multipoint_prob(query, ZCache())
     in_regime = multipoint_bound_regime(query)
     if args.eval is not None:
         qs = [_parse_q(args.eval, args.float)]
@@ -198,10 +183,9 @@ def _run_correlate(args) -> tuple:
 
 
 def _run_fluctuations(args) -> tuple:
-    cache = _make_cache()
     fq = FluctuationQuery(args.N, args.L)
     q = _parse_q(args.q, args.float)
-    dist = fluctuation_distribution(fq, cache)
+    dist = fluctuation_distribution(fq, ZCache())
     rows = []
     for l, prob in sorted(dist.items()):
         p = prob.evaluate(q)
@@ -224,14 +208,15 @@ def _run_sample(args) -> tuple:
 
 
 def _run_reduce2d(args) -> tuple:
+    _check_shape(args.N, args.M)
+    if not args.all and not 0 <= args.k <= args.N * args.M:
+        raise ValueError(f"--k must lie in [0, {args.N * args.M}], got {args.k}")
     oracle = z2d_oracle(args.N, args.M)
-    if not args.all and not 0 <= args.k < len(oracle):
-        raise ValueError(f"--k must lie in [0, {len(oracle) - 1}], got {args.k}")
     ks = range(len(oracle)) if args.all else [args.k]
     terms = [{"k": k, "polynomial": oracle[k].to_json_obj()} for k in ks]
     result = {"terms": terms}
     if args.check:
-        reduction, product = z2d_reduction(args.N, args.M, _make_cache()), z2d_product(args.N, args.M)
+        reduction, product = z2d_reduction(args.N, args.M, ZCache()), z2d_product(args.N, args.M)
         for k, entry in zip(ks, terms):
             entry["compositions"] = [list(c) for c in compositions(args.N, args.M, k)]
             entry["routes_agree"] = reduction[k] == product[k] == oracle[k]
@@ -244,7 +229,6 @@ def _run_reduce2d(args) -> tuple:
 
 
 def _run_verify(args) -> tuple:
-    cache = _make_cache()
     _check_sizes(args, "max_nm", "enum_limit", "count", "max_chain")
     q_grid = [_parse_q(tok, False) for tok in args.q_grid.split(",")]
     report = run_suites(
@@ -255,7 +239,7 @@ def _run_verify(args) -> tuple:
         max_chain=args.max_chain,
         q_grid=q_grid,
         seed=args.seed,
-        cache=cache,
+        cache=ZCache(),
     )
     result = report.to_json_obj()
     config = {

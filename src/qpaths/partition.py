@@ -46,16 +46,12 @@ class ZCache:
 
     One cache may be shared across threads: lookups, the hit/miss counters
     and insertion are serialized by a lock (values are computed outside it),
-    and a cached value, once visible, is never replaced.  ``max_entries``
-    bounds the table size (further values are computed but not stored).
+    and a cached value, once visible, is never replaced.
     """
 
-    def __init__(self, max_entries: Optional[int] = None):
-        if max_entries is not None and max_entries < 0:
-            raise ValueError(f"max_entries must be >= 0 or None, got {max_entries}")
+    def __init__(self):
         self._data: dict[tuple[int, int], QPoly] = {}
         self._lock = threading.Lock()
-        self.max_entries = max_entries
         self.hits = 0
         self.misses = 0
 
@@ -71,9 +67,7 @@ class ZCache:
             self.misses += 1
         value = compute()
         with self._lock:
-            if key not in self._data and (self.max_entries is None or len(self._data) < self.max_entries):
-                self._data[key] = value
-            return self._data.get(key, value)
+            return self._data.setdefault(key, value)
 
 
 _DEFAULT_CACHE = ZCache()
@@ -152,12 +146,12 @@ def z_cached(n: int, m: int, cache: Optional[ZCache] = None) -> QPoly:
     return cache.get_or_compute((n, m), lambda: z_closed(n, m))
 
 
-def z_recursive(n: int, m: int, cache: Optional[ZCache] = None) -> QPoly:
+def z_recursive(n: int, m: int) -> QPoly:
     """Z(n, m) by the corner recursion Z(n,m) = Z(n,m-1) + q^(2(n+m)) Z(n-1,m).
 
     Base cases: Z(0, m) = 1 and Z(n, 0) = q^(n(n+1)).  Fills bottom-up to
-    avoid deep recursion; the value is identical to ``z_closed``.  When a
-    cache is given, every computed value is published into it.
+    avoid deep recursion; the value is identical to ``z_closed``.  This is
+    the independent check on the closed form, so it reads and fills no cache.
     """
     if n < 0 or m < 0:
         raise ValueError(f"negative sector ({n},{m})")
@@ -171,9 +165,6 @@ def z_recursive(n: int, m: int, cache: Optional[ZCache] = None) -> QPoly:
             else:
                 value = table[(i, j - 1)] + table[(i - 1, j)].shift(2 * (i + j))
             table[(i, j)] = value
-    if cache is not None:
-        for key, value in table.items():
-            cache.get_or_compute(key, lambda v=value: v)
     return table[(n, m)]
 
 

@@ -231,11 +231,13 @@ class QPoly:
         return f"QPoly({dict(self.terms())!r})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QRational:
     """Ratio of two QPoly values, e.g. an exact correlation probability.
 
-    Not reduced to lowest terms; equality is mathematical (cross-multiplied).
+    Not reduced to lowest terms; equality is mathematical (cross-multiplied),
+    so the class is unhashable: equal ratios such as 1/2 and 2/4 have no
+    common hash over their fields.
     """
 
     num: QPoly

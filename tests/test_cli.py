@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from qpaths.cli import main
-from qpaths.partition import z_closed
+from qpaths.partition import ZCache, z_closed
 
 DATA = Path(__file__).parent / "data"
 # A ``python -m qpaths`` child does not inherit pytest's ``pythonpath``.
@@ -293,7 +293,11 @@ class TestReduce2d:
         assert err.value.code == 2
 
     @pytest.mark.parametrize("k", ["-1", "5"])
-    def test_k_out_of_range_is_a_diagnostic(self, k, capsys):
+    def test_k_out_of_range_is_a_diagnostic(self, k, monkeypatch, capsys):
+        def refuse(*args):
+            raise AssertionError("built the polynomials before checking --k")
+
+        monkeypatch.setattr("qpaths.cli.z2d_oracle", refuse)
         assert main(["reduce2d", "--N", "2", "--M", "2", "--k", k]) == 2
         assert capsys.readouterr().err == f"error: --k must lie in [0, 4], got {k}\n"
 
@@ -445,19 +449,29 @@ class TestGoldenFiles:
         assert out == (DATA / name).read_text(encoding="utf-8")
 
 
-def test_cache_size_env_var(monkeypatch, capsys):
-    monkeypatch.setenv("QPATHS_CACHE_SIZE", "2")
-    code, out = run_cli(["partition", "--n", "4", "--m", "4"], capsys)
+@pytest.mark.parametrize(
+    "argv, caches",
+    [
+        (["partition", "--n", "3", "--m", "2", "--oracle"], 0),
+        (["partition", "--n", "3", "--m", "2", "--recursive"], 0),
+        (["partition", "--n", "3", "--m", "2"], 1),
+        (["correlate", "--n", "2", "--m", "2", "--sites", "3:down"], 1),
+        (["fluctuations", "--N", "4", "--L", "2", "--q", "1/2"], 1),
+        (["reduce2d", "--N", "2", "--M", "2", "--all", "--check"], 1),
+        (["verify", "identities", "--max-nm", "3", "--count", "2"], 1),
+    ],
+)
+def test_which_runs_make_a_cache(argv, caches, monkeypatch, capsys):
+    made = []
+
+    def counting_cache():
+        made.append(ZCache())
+        return made[-1]
+
+    monkeypatch.setattr("qpaths.cli.ZCache", counting_cache)
+    code, _ = run_cli(argv, capsys)
     assert code == 0
-    assert json.loads(out)["result"]["polynomial"][0] == [20, "1"]
-
-
-@pytest.mark.parametrize("raw", ["abc", "-1"])
-def test_bad_cache_size_env_var_is_a_diagnostic(raw, monkeypatch, capsys):
-    monkeypatch.setenv("QPATHS_CACHE_SIZE", raw)
-    assert main(["partition", "--n", "4", "--m", "4"]) == 2
-    err = capsys.readouterr().err
-    assert err == f"error: QPATHS_CACHE_SIZE must be an integer >= 0, got {raw!r}\n"
+    assert len(made) == caches
 
 
 def test_module_entry_point():

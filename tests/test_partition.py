@@ -73,12 +73,6 @@ class TestRecursion:
         for n, m in all_sectors(7):
             assert z_recursive(n, m) == z_closed(n, m)
 
-    def test_publishes_into_cache(self):
-        cache = ZCache()
-        z_recursive(3, 2, cache)
-        assert len(cache) == 4 * 3
-        assert cache.get_or_compute((2, 2), lambda: QPoly.zero()) == z_closed(2, 2)
-
 
 class TestRow:
     def test_matches_closed_form(self):
@@ -278,15 +272,18 @@ class TestZCache:
         z_cached(3, 3, cache)
         assert (cache.hits, cache.misses) == (1, 1)
 
-    def test_capped_cache_still_correct(self):
-        cache = ZCache(max_entries=2)
-        values = [z_cached(n, 2, cache) for n in range(5)]
-        assert len(cache) == 2
-        assert values == [z_closed(n, 2) for n in range(5)]
+    def test_stored_value_is_never_replaced(self):
+        cache = ZCache()
+        first = z_closed(2, 2)
 
-    def test_negative_cap_is_refused(self):
-        with pytest.raises(ValueError, match="max_entries"):
-            ZCache(max_entries=-1)
+        def compute():
+            # Another caller stores the key while this one computes.
+            cache.get_or_compute((2, 2), lambda: first)
+            return z_closed(2, 2)
+
+        assert cache.get_or_compute((2, 2), compute) is first
+        assert cache.get_or_compute((2, 2), compute) is first
+        assert (cache.hits, cache.misses, len(cache)) == (1, 2, 1)
 
     def test_concurrent_readers(self):
         cache = ZCache()

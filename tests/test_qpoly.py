@@ -168,6 +168,14 @@ class TestEvaluate:
         with pytest.raises(ZeroDivisionError):
             QRational(QPoly.one(), QPoly.zero())
 
+    def test_equal_ratios_are_unhashable(self):
+        # Equality cross-multiplies, so no hash over (num, den) could agree with it.
+        half, two_quarters = QRational(P({0: 1}), P({0: 2})), QRational(P({0: 2}), P({0: 4}))
+        assert half == two_quarters
+        for r in (half, two_quarters):
+            with pytest.raises(TypeError):
+                hash(r)
+
 
 class TestSerialization:
     def test_pairs_format(self):
