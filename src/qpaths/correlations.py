@@ -60,24 +60,19 @@ class CorrelationQuery:
         return cls(SectorSpec(n, m), sites, spins)
 
     @property
-    def alphas(self) -> tuple[int, ...]:
-        """1 for each constrained down spin, 0 for up."""
-        return tuple(1 if s == SPIN_DOWN else 0 for s in self.spins)
+    def downs(self) -> tuple[int, ...]:
+        """The sites constrained to a down spin, in order."""
+        return tuple(x for x, s in zip(self.sites, self.spins) if s == SPIN_DOWN)
 
     @property
     def down_count(self) -> int:
-        return sum(self.alphas)
-
-    def interface_distances(self) -> tuple[int, ...]:
-        """(x_k - n) for each constrained *down* site, 0 for up sites."""
-        n = self.sector.n
-        return tuple((x - n) * a for x, a in zip(self.sites, self.alphas))
+        return len(self.downs)
 
     @property
     def bound_exponent(self) -> int:
-        """v(v-1) + 2 * sum of down-spin interface distances, v = ``down_count``."""
+        """v(v-1) + 2 * sum of the down sites' interface distances x - n, v = ``down_count``."""
         v = self.down_count
-        return v * (v - 1) + 2 * sum(self.interface_distances())
+        return v * (v - 1) + 2 * sum(x - self.sector.n for x in self.downs)
 
 
 # -- single-point and few-point probabilities --------------------------------
@@ -190,8 +185,7 @@ def multipoint_prob(query: CorrelationQuery, cache: Optional[ZCache] = None) -> 
         raise InconsistentQuery(
             f"{len(query.sites) - query.down_count} up spins requested but sector has m={m}"
         )
-    downs = [x for x, spin in zip(query.sites, query.spins) if spin == SPIN_DOWN]
-    return _constrained_prob(n, m, query.sites, downs, cache)
+    return _constrained_prob(n, m, query.sites, query.downs, cache)
 
 
 def exp_bound(query: CorrelationQuery, q: Scalar) -> Scalar:
@@ -259,6 +253,7 @@ def fluctuation_distribution(
     n = fq.N // 2
     t1 = (fq.N - fq.L) // 2
     k = min(n, fq.N - fq.L)
+    cache = ZCache() if cache is None else cache  # at L = N the two rows are one
     row = z_row(fq.N, n, cache)
     outside = _deflate(row, range(t1 + 1, t1 + fq.L + 1), k)
     window = z_row(fq.L, min(fq.L, n), cache)
@@ -273,6 +268,10 @@ class TailBound:
     """Closed-form tail bound on Prob(F = l) for l >= 1:
 
         q^(l(l-1)) * (1/l!) * [q^(L+1)/(1-q^2)]^l * exp[q^(L+3)/(1-q^2)]
+
+    ``value`` is that product in floats.  Where a factor of it overflows, the
+    same bound is summed in logs (``math.lgamma`` for l!); a bound past the
+    float range itself raises DomainError.
     """
 
     q: Scalar
@@ -287,14 +286,24 @@ class TailBound:
 
     @property
     def value(self) -> float:
-        q = float(self.q)
-        bracket = q ** (self.L + 1) / (1 - q * q)
-        return (
-            q ** (self.l * (self.l - 1))
-            / math.factorial(self.l)
-            * bracket**self.l
-            * math.exp(q ** (self.L + 3) / (1 - q * q))
-        )
+        q, L, l = float(self.q), self.L, self.l
+        t = 1 - q * q
+        try:
+            value = (
+                q ** (l * (l - 1)) / math.factorial(l) * (q ** (L + 1) / t) ** l
+                * math.exp(q ** (L + 3) / t)
+            )
+        except ArithmeticError:  # a factor overflows, or t = 0 where q rounds to 1
+            value = math.inf
+        if value < math.inf:
+            return value
+        try:  # the same product in logs, where only the last exp can overflow
+            log_value = l * (l + L) * math.log(q) - l * math.log(t) + q ** (L + 3) / t
+            return math.exp(log_value - math.lgamma(l + 1))
+        except (ArithmeticError, ValueError):  # ValueError: log(t) at t = 0
+            raise DomainError(
+                f"tail bound at l={l}, L={L}, q={self.q} is past the float range"
+            ) from None
 
     def rational_lower(self, terms: int = 16) -> Fraction:
         """A certified rational lower bound (exp replaced by a truncated

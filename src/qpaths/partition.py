@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import DomainError, RangeError
 from .paths import BoxSpec
-from .qpoly import ModelParameters, QPoly
+from .qpoly import ModelParameters, QPoly, QRational
 
 #: Exact-rational grid used by default for inequality checks.
 DEFAULT_Q_GRID = (Fraction(1, 5), Fraction(1, 2), Fraction(4, 5))
@@ -70,9 +70,6 @@ class ZCache:
             return self._data.setdefault(key, value)
 
 
-_DEFAULT_CACHE = ZCache()
-
-
 def _mul_div(coeffs: list[int], k: int, i: int) -> list[int]:
     """Dense coeffs * (1 - p^k) / (1 - p^i), with the division checked exact.
 
@@ -121,13 +118,13 @@ def z_row(length: int, k: int, cache: Optional[ZCache] = None) -> list[QPoly]:
     """[Z(0, L), Z(1, L-1), ..., Z(k, L-k)] for L = length, in one pass.
 
     Walks the row of Gaussian binomials [L, j] = [L, j-1] (1 - p^(L-j+1)) /
-    (1 - p^j), p = q^2, and publishes each Z(j, L-j) through the cache (the
-    shared module cache when none is given).  Only the entries up to the
-    last one missing from the cache are computed.
+    (1 - p^j), p = q^2, and publishes each Z(j, L-j) through the cache.  Only
+    the entries up to the last one missing from the cache are computed.  With
+    no cache given, a fresh one lives for this call only.
     """
     if not 0 <= k <= length:
         raise ValueError(f"need 0 <= k <= L, got k={k}, L={length}")
-    cache = _DEFAULT_CACHE if cache is None else cache
+    cache = ZCache() if cache is None else cache
     done, coeffs = 0, [1]  # coeffs is [L, done], dense in p
 
     def compute(j: int) -> QPoly:
@@ -141,9 +138,8 @@ def z_row(length: int, k: int, cache: Optional[ZCache] = None) -> list[QPoly]:
 
 
 def z_cached(n: int, m: int, cache: Optional[ZCache] = None) -> QPoly:
-    """Z(n, m) through a cache (the shared module cache when none is given)."""
-    cache = _DEFAULT_CACHE if cache is None else cache
-    return cache.get_or_compute((n, m), lambda: z_closed(n, m))
+    """Z(n, m) through the cache, or straight from ``z_closed`` when none is given."""
+    return z_closed(n, m) if cache is None else cache.get_or_compute((n, m), lambda: z_closed(n, m))
 
 
 def z_recursive(n: int, m: int) -> QPoly:
@@ -220,14 +216,15 @@ def ratio_bound_check(
     """Check Z(n-v, m-w) <= q^(-2nv + v(v-1)) * Z(n, m) on an exact q grid.
 
     Both sides are cleared of negative powers first:
-    lhs = q^(2nv - v(v-1)) * Z(n-v, m-w), rhs = Z(n, m).  Violations are
-    reported through the ``holds_at`` list, never raised.
+    lhs = q^(2nv - v(v-1)) * Z(n-v, m-w), rhs = Z(n, m) > 0, so lhs/rhs <= 1
+    decides each q.  Violations are reported in ``holds_at``, never raised.
     """
     if not (0 <= v <= n and 0 <= w <= m):
         raise RangeError(f"need 0 <= v <= n and 0 <= w <= m, got v={v}, w={w}")
     lhs = z_cached(n - v, m - w, cache).shift(2 * n * v - v * (v - 1))
     rhs = z_cached(n, m, cache)
-    holds_at = [q for q in q_grid if lhs.evaluate(q) <= rhs.evaluate(q)]
+    ratio = QRational(lhs, rhs)
+    holds_at = [q for q in q_grid if ratio.evaluate(q) <= 1]
     return RatioBoundResult(lhs, rhs, holds_at)
 
 

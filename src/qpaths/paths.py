@@ -154,15 +154,17 @@ class Path:
         return cls((int(m.group(1)), int(m.group(2))), m.group(3))
 
 
-def enumerate_paths(box: BoxSpec, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[Path]:
-    """Yield every monotone path in the box exactly once.
-
-    The count equals binomial(width + height, width); raises CapExceeded when
-    that exceeds ``cap`` (meaning: use the closed form instead).
-    """
+def check_path_cap(box: BoxSpec, cap: int = DEFAULT_ENUMERATION_CAP) -> None:
+    """Raise CapExceeded when the box has more than ``cap`` paths: use the closed form."""
     total = box.path_count()
     if total > cap:
         raise CapExceeded(f"box has {total} paths, above the cap of {cap}")
+
+
+def enumerate_paths(box: BoxSpec, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[Path]:
+    """Yield each of the binomial(width + height, width) monotone paths in the box
+    once, after ``check_path_cap``."""
+    check_path_cap(box, cap)
     w, h = box.width, box.height
     origin = (box.n0, box.m0)
     for down_positions in itertools.combinations(range(w + h), w):

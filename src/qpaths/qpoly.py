@@ -11,11 +11,11 @@ All arithmetic is exact: coefficients are Python ints, evaluation at a
 makes polynomial identities and inequalities decidable, which the
 verification suites rely on.
 
-Exact evaluation at q = a/b is integer Horner down the list, multiplying by
-powers of a and b across runs of zeros, and one ``Fraction`` is built at
-the end, so a value costs one gcd rather than one per term.  A ratio scales
-its numerator and denominator to the same power of b and becomes one
-``Fraction`` of two integers.
+Every value at q comes from ``QRational.evaluate``; a polynomial's value is
+its ratio over one.  At q = a/b each side is integer Horner over one power of
+b, so a value is one ``Fraction`` of two integers (one gcd, not one per term).
+At a float q each list is summed in exponent order, falling back to the
+rounded exact value where a sum overflows.
 
 Values are immutable after construction and safe to share across threads;
 every operation returns a new object, which may share an operand's list.
@@ -195,15 +195,8 @@ class QPoly:
     # -- evaluation and serialization ----------------------------------------
 
     def evaluate(self, q: Scalar) -> Scalar:
-        """Value at q.  Exact when q is a Fraction, float otherwise.
-
-        Floats are summed in exponent order, so equal polynomials give equal
-        floats however they were built.
-        """
-        if isinstance(q, Fraction):
-            a, b, top = q.numerator, q.denominator, self.max_exponent() if self else 0
-            return Fraction(_horner(self._low, self._coeffs, a, b, top), b**top)
-        return float(sum(c * q**e for e, c in self.terms()))
+        """Value at q: the ratio of this polynomial over one (``QRational.evaluate``)."""
+        return QRational(self, QPoly.one()).evaluate(q)
 
     def to_json_obj(self) -> list[list]:
         """[[exponent, coefficient-as-decimal-string], ...] sorted by exponent."""
@@ -248,12 +241,15 @@ class QRational:
             raise ZeroDivisionError("QRational denominator is the zero polynomial")
 
     def evaluate(self, q: Scalar) -> Scalar:
-        """Value at q: one Fraction of two integers when q is a Fraction.
+        """Value at q, exact when q is a Fraction: the package's one evaluator.
 
-        Both polynomials are scaled by the same b^top (q = a/b, top the
-        larger degree), so no Fraction arithmetic happens before the last
-        step.  At a float q where a term overflows the float range (a
-        coefficient past 1e308, say), the value is the rounded exact one.
+        At q = a/b both sides are scaled by the same b^top (top the larger
+        degree) into one Fraction of two integers.  At a float q each list is
+        summed in exponent order, so equal polynomials give equal floats,
+        after dividing out the lowest power of q of both sides, which alone
+        can underflow.  Where a term overflows (a coefficient past 1e308) or
+        the quotient is nan (both sums overflowed), the value is the rounded
+        exact one.
         """
         num, den = self.num, self.den
         if isinstance(q, Fraction):
@@ -263,18 +259,16 @@ class QRational:
             if d == 0:
                 raise ZeroDivisionError(f"denominator vanishes at q={q}")
             return Fraction(_horner(num._low, num._coeffs, a, b, top), d)
-        # The lowest power of q can underflow a float on its own where
-        # the ratio is well inside range, so divide it out of both first.
-        v = min(p.min_exponent() for p in (num, den) if p)
-        num, den = (QPoly.dense(p._low - v, p._coeffs) if p else p for p in (num, den))
+        v = min(p._low for p in (num, den) if p)
         try:
-            d = den.evaluate(q)
-            n = num.evaluate(q)
+            n, d = (float(sum(c * q**e for e, c in enumerate(p._coeffs, p._low - v) if c))
+                    for p in (num, den))
         except OverflowError:
             return float(self.evaluate(Fraction(q)))
         if d == 0:
             raise ZeroDivisionError(f"denominator vanishes at q={q}")
-        return n / d
+        ratio = n / d
+        return ratio if ratio == ratio else float(self.evaluate(Fraction(q)))  # nan is not itself
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QRational):

@@ -45,7 +45,7 @@ from .partition import (
     z_cached,
     z_generalized,
 )
-from .paths import BoxSpec, enumerate_paths, oracle_partition
+from .paths import BoxSpec, check_path_cap, enumerate_paths, oracle_partition
 from .qpoly import QPoly
 
 _MAX_REPORTED_FAILURES = 5
@@ -118,7 +118,13 @@ def run_identity_suite(
     seed: int = 0,
     cache: Optional[ZCache] = None,
 ) -> VerificationReport:
-    """Exact structural identities of the partition functions and path space."""
+    """Exact structural identities of the partition functions and path space.
+
+    No box enumerated here has more than ``enumeration_limit`` steps, so one
+    over the enumeration cap is refused before any work is done.
+    """
+    for n, m in _sectors(enumeration_limit):
+        check_path_cap(BoxSpec.sector(n, m))
     rng = random.Random(seed)
     cache = ZCache() if cache is None else cache
 

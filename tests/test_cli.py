@@ -151,6 +151,8 @@ def test_bad_rational_or_sweep_file_is_a_diagnostic(argv, capsys):
          "q must lie strictly in (0, 1) as a float; 0.99999999999999999 rounds to 1.0"),
         (["partition", "--n", "2", "--m", "2", "--oracle", "--cap", "-1"], "--cap must be >= 0"),
         (["partition", "--n", "2", "--m", "2", "--cap", "-1"], "--cap must be >= 0"),
+        (["fluctuations", "--N", "54", "--L", "54", "--q", "0.999999999999"],
+         "tail bound at l=27, L=54, q=999999999999/1000000000000 is past the float range"),
     ],
 )
 def test_diagnostic_names_the_precondition(argv, message, capsys):
@@ -175,6 +177,17 @@ def test_oversized_q_is_refused_before_expansion(argv, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err == f"error: q must have at most {limit} digits in numerator and denominator\n"
+
+
+def test_enumeration_cap_is_refused_before_any_work(monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise AssertionError("enumerated before refusing the cap")
+
+    monkeypatch.setattr("qpaths.verify.enumerate_paths", fail)
+    monkeypatch.setattr("qpaths.verify.oracle_partition", fail)
+    argv = ["verify", "identities", "--enum-limit", "23", "--max-nm", "2", "--count", "1"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: box has 1144066 paths, above the cap of 1000000\n"
 
 
 def test_zero_sizes_are_allowed(capsys):

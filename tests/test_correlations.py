@@ -1,3 +1,4 @@
+import decimal
 import itertools
 import math
 import random
@@ -177,6 +178,12 @@ class TestAdjacentPair:
 
 
 class TestMultipoint:
+    def test_downs_and_bound_exponent(self):
+        query = CorrelationQuery.build(3, 4, [(7, SPIN_DOWN), (2, SPIN_UP), (5, SPIN_DOWN)])
+        assert query.downs == (5, 7)
+        assert query.down_count == 2
+        assert query.bound_exponent == 2 * 1 + 2 * ((5 - 3) + (7 - 3))
+
     def test_fully_specified_configuration(self):
         # r = L pins a single configuration of weight q^(2*sum of down sites)
         query = CorrelationQuery.build(2, 1, [(1, SPIN_DOWN), (2, SPIN_UP), (3, SPIN_DOWN)])
@@ -431,6 +438,27 @@ class TestTailBound:
         for l in (1, 2):
             prob = dist[l].evaluate(HALF)
             assert prob <= TailBound(HALF, 4, l).rational_lower()
+
+    def test_overflowing_factor_is_summed_in_logs(self):
+        # [q^241/(1-q^2)]^119 alone is past 1e308; the bound is about 1.8e276
+        q, L, l = Fraction(999, 1000), 240, 119
+        with decimal.localcontext() as ctx:
+            ctx.prec = 40
+            dq = decimal.Decimal(q.numerator) / q.denominator
+            t = 1 - dq * dq
+            log_ref = (
+                l * (l - 1) * dq.ln() - decimal.Decimal(math.factorial(l)).ln()
+                + l * ((L + 1) * dq.ln() - t.ln()) + dq ** (L + 3) / t
+            )
+            ref = float(log_ref.exp())
+        assert TailBound(q, L, l).value == pytest.approx(ref, rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "q, L, l", [(Fraction(9993, 10000), 100, 50), (1 - Fraction(1, 10**12), 54, 1)]
+    )
+    def test_bound_past_the_float_range_is_a_domain_error(self, q, L, l):
+        with pytest.raises(DomainError, match=f"l={l}, L={L}"):
+            TailBound(q, L, l).value
 
     def test_domain(self):
         with pytest.raises(DomainError):

@@ -100,6 +100,15 @@ class TestRow:
         assert z_row(9, 6, cache) == expected
         assert z_row(9, 3, cache) == expected[:4]
 
+    def test_no_cache_keeps_nothing_between_calls(self, monkeypatch):
+        steps = []
+        mul_div = partition._mul_div
+        monkeypatch.setattr(partition, "_mul_div", lambda *args: steps.append(1) or mul_div(*args))
+        first = z_row(12, 6)
+        assert len(steps) == 6
+        assert z_row(12, 6) == first
+        assert len(steps) == 12
+
     def test_extends_a_cached_prefix(self):
         cache = ZCache()
         z_row(6, 2, cache)

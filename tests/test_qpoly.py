@@ -159,6 +159,15 @@ class TestEvaluate:
         assert r.evaluate(0.5) == 5 / 12
         assert r.evaluate(Fraction(1, 2)) == Fraction(5, 12)
 
+    def test_float_polynomial_beyond_float_range_is_the_rounded_exact_value(self):
+        p = QPoly.monomial(2000, 10**400)
+        assert p.evaluate(0.5) == float(p.evaluate(Fraction(1, 2))) == 8.709809816217216e-203
+
+    def test_float_ratio_of_two_overflowing_sums(self):
+        # each sum of 20 terms near 1e307 overflows to inf, so the float quotient is nan
+        r = QRational(*(QPoly({e: c * 10**307 for e in range(0, 40, 2)}) for c in (1, 2)))
+        assert r.evaluate(0.99999) == 0.5
+
     def test_rational_zero_denominator(self):
         r = QRational(QPoly.one(), P({0: 1, 1: -1}))
         with pytest.raises(ZeroDivisionError):
