@@ -410,7 +410,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-nm", type=int, default=12, dest="max_nm")
     p.add_argument("--enum-limit", type=int, default=8, dest="enum_limit")
     p.add_argument("--count", type=int, default=100, help="randomized instances per identity")
-    p.add_argument("--max-chain", type=int, default=8, dest="max_chain")
+    p.add_argument(
+        "--max-chain", type=int, default=8, dest="max_chain",
+        help="largest chain n+m of the bound suite; the fluctuation suite checks "
+        "N up to min(max_chain, 8)*2, so at most 16",
+    )
     p.add_argument("--q-grid", default=",".join(map(str, DEFAULT_Q_GRID)), dest="q_grid")
     p.add_argument("--seed", type=int, default=0)
     _add_format(p)

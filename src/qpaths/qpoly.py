@@ -15,7 +15,7 @@ Every value at q comes from ``QRational.evaluate``; a polynomial's value is
 its ratio over one.  At q = a/b each side is integer Horner over one power of
 b, so a value is one ``Fraction`` of two integers (one gcd, not one per term).
 At a float q each list is summed in exponent order, falling back to the
-rounded exact value where a sum overflows.
+rounded exact value where the float quotient is not finite.
 
 Values are immutable after construction and safe to share across threads;
 every operation returns a new object, which may share an operand's list.
@@ -247,9 +247,10 @@ class QRational:
         degree) into one Fraction of two integers.  At a float q each list is
         summed in exponent order, so equal polynomials give equal floats,
         after dividing out the lowest power of q of both sides, which alone
-        can underflow.  Where a term overflows (a coefficient past 1e308) or
-        the quotient is nan (both sums overflowed), the value is the rounded
-        exact one.
+        can underflow.  Where that quotient is not a finite float (a sum
+        overflowed, or the denominator's sum underflowed to zero), the value
+        is the rounded exact one; an exact value past the float range raises
+        ``DomainError``.
         """
         num, den = self.num, self.den
         if isinstance(q, Fraction):
@@ -263,12 +264,15 @@ class QRational:
         try:
             n, d = (float(sum(c * q**e for e, c in enumerate(p._coeffs, p._low - v) if c))
                     for p in (num, den))
-        except OverflowError:
+            ratio = n / d
+        except (OverflowError, ZeroDivisionError):
+            ratio = math.nan
+        if math.isfinite(ratio):
+            return ratio
+        try:
             return float(self.evaluate(Fraction(q)))
-        if d == 0:
-            raise ZeroDivisionError(f"denominator vanishes at q={q}")
-        ratio = n / d
-        return ratio if ratio == ratio else float(self.evaluate(Fraction(q)))  # nan is not itself
+        except OverflowError:
+            raise DomainError(f"the value at q={q} is past the float range") from None
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QRational):

@@ -14,6 +14,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Optional, Sequence
 
 from .errors import InconsistentQuery
@@ -86,7 +87,12 @@ class IdentityRecord:
 
 @dataclass
 class VerificationReport:
-    records: list[IdentityRecord]
+    records: list[IdentityRecord] = field(default_factory=list)
+
+    def record(self, name: str, detail: str, informational: bool = False) -> IdentityRecord:
+        """A new record, already part of this report."""
+        self.records.append(IdentityRecord(name, detail, informational=informational))
+        return self.records[-1]
 
     @property
     def passed(self) -> bool:
@@ -103,6 +109,12 @@ def _sectors(max_chain: int):
     for total in range(max_chain + 1):
         for n in range(total + 1):
             yield n, total - n
+
+
+def _check_bound(record: IdentityRecord, prob, bound, q_grid, instance: dict):
+    """File prob(q) <= bound(q) under ``record`` at each q of the grid."""
+    for q in q_grid:
+        record.check(prob.evaluate(q) <= bound(q), {**instance, "q": q})
 
 
 def _random_box(rng: random.Random, max_total: int) -> BoxSpec:
@@ -127,8 +139,9 @@ def run_identity_suite(
         check_path_cap(BoxSpec.sector(n, m))
     rng = random.Random(seed)
     cache = ZCache() if cache is None else cache
+    report = VerificationReport()
 
-    closed_enum = IdentityRecord(
+    closed_enum = report.record(
         "closed-form-vs-enumeration", "Z(n,m) equals the brute-force path sum"
     )
     for n, m in _sectors(enumeration_limit):
@@ -136,7 +149,7 @@ def run_identity_suite(
             z_cached(n, m, cache) == oracle_partition(BoxSpec.sector(n, m)), {"n": n, "m": m}
         )
 
-    box_enum = IdentityRecord(
+    box_enum = report.record(
         "box-translation-vs-enumeration",
         "Z(n0,m0;n,m) = q^(2(n0+m0)(n-n0)) Z(n-n0,m-m0) equals the brute-force box sum",
     )
@@ -147,21 +160,21 @@ def run_identity_suite(
             {"box": (box.n0, box.m0, box.n, box.m)},
         )
 
-    pascal_upper = IdentityRecord(
+    pascal_upper = report.record(
         "pascal-upper-corner", "Z(n,m) = Z(n,m-1) + q^(2(n+m)) Z(n-1,m)"
     )
-    pascal_lower = IdentityRecord(
+    pascal_lower = report.record(
         "pascal-lower-corner", "Z(n,m) = q^(2n) Z(n-1,m) + q^(2n) Z(n,m-1)"
     )
-    corner_split = IdentityRecord(
+    corner_split = report.record(
         "corner-split", "Z(n,m) = q^2 Z(1,0;n,m) + Z(0,1;n,m)"
     )
-    neighbor = IdentityRecord(
+    neighbor = report.record(
         "neighbor-ratio",
         "q^(2n)(1-q^(2(n+m))) Z(n-1,m) = (1-q^(2n)) Z(n,m) and "
         "(1-q^(2(n+m))) Z(n,m-1) = (1-q^(2m)) Z(n,m)",
     )
-    diagonal = IdentityRecord(
+    diagonal = report.record(
         "diagonal-ratio",
         "q^(2n)(1-q^(2(L-1)))(1-q^(2L)) Z(n-1,m-1) = (1-q^(2n))(1-q^(2m)) Z(n,m)",
     )
@@ -186,7 +199,7 @@ def run_identity_suite(
             diag = (corner - corner.shift(2 * ell)).shift(2 * n) == zn - zn.shift(2 * m)
             diagonal.check(diag, {"n": n, "m": m})
 
-    markov = IdentityRecord(
+    markov = report.record(
         "markov-cut-factorization",
         "Z(box) = sum over x+y=z of Z(n0,m0;x,y) Z(x,y;n,m) for any admissible cut z",
     )
@@ -200,7 +213,7 @@ def run_identity_suite(
             total == z_generalized(box, cache), {"box": (box.n0, box.m0, box.n, box.m), "z": z}
         )
 
-    translation = IdentityRecord(
+    translation = report.record(
         "translation-shift",
         "Z(n0,m0;n,m) = q^(2(x+y)(n-n0)) Z(n0-x,m0-y;n-x,m-y) for shifts (x,y)",
     )
@@ -215,10 +228,10 @@ def run_identity_suite(
             {"box": (box.n0, box.m0, box.n, box.m), "shift": (x, y)},
         )
 
-    transpose = IdentityRecord(
+    transpose = report.record(
         "transpose-symmetry", "q^(m(m+1)) Z(n,m) = q^(n(n+1)) Z(m,n)"
     )
-    window = IdentityRecord(
+    window = report.record(
         "degree-window",
         "Z(n,m) has positive coefficients, even exponents in [n(n+1), n(n+1)+2nm]",
     )
@@ -235,7 +248,7 @@ def run_identity_suite(
         )
         window.check(ok, {"n": n, "m": m})
 
-    box_transpose = IdentityRecord(
+    box_transpose = report.record(
         "box-transpose-symmetry",
         "q^((n0+m)(n0+m+1)) Z(n0,m0;n,m) = q^((n+m0)(n+m0+1)) Z(m0,n0;m,n)",
     )
@@ -247,7 +260,7 @@ def run_identity_suite(
         )
         box_transpose.check(lhs == rhs, {"box": (box.n0, box.m0, box.n, box.m)})
 
-    box_min = IdentityRecord(
+    box_min = report.record(
         "box-min-exponent",
         "lowest power of Z(n0,m0;n,m) is (2(m0+1)+2n0)w + w(w-1) with w = n-n0",
     )
@@ -260,10 +273,10 @@ def run_identity_suite(
             {"box": (box.n0, box.m0, box.n, box.m)},
         )
 
-    area_exp = IdentityRecord(
+    area_exp = report.record(
         "area-exponent", "weight exponent = n(n+1) + 2*area for every path from the origin"
     )
-    area_sym = IdentityRecord(
+    area_sym = report.record(
         "area-complement-symmetry",
         "area(p) + area(parity(p)) = n*m = area(p) + area(reversed(p)); "
         "the combined map preserves the area and both maps are involutions",
@@ -284,25 +297,7 @@ def run_identity_suite(
             )
             area_sym.check(ok, {"path": p.to_text()})
 
-    return VerificationReport(
-        [
-            closed_enum,
-            box_enum,
-            pascal_upper,
-            pascal_lower,
-            markov,
-            translation,
-            transpose,
-            box_transpose,
-            corner_split,
-            neighbor,
-            diagonal,
-            window,
-            box_min,
-            area_exp,
-            area_sym,
-        ]
-    )
+    return report
 
 
 def run_bound_suite(
@@ -316,61 +311,37 @@ def run_bound_suite(
     rng = random.Random(seed)
     cache = ZCache() if cache is None else cache
     q_grid = [Fraction(q) for q in q_grid]
+    report = VerificationReport()
 
-    down_in = IdentityRecord(
-        "down-spin-bound", "P(down at x) <= q^(2(x-n))(1-q^(2n))/(1-q^(2(n+m))) for x >= n, m"
+    # (name, detail, probability, bound, regime, sites of an (n, m) chain); built per
+    # call, so names rebound on this module (by a tracer) are the ones called
+    site_bounds = (
+        ("down-spin-bound", "P(down at x) <= q^(2(x-n))(1-q^(2n))/(1-q^(2(n+m))) for x >= n, m",
+         spin_down_prob, spin_down_bound, site_bound_regime, lambda n, m: range(1, n + m + 1)),
+        ("up-spin-bound", "P(up at x) <= (1-q^(2m))/(1-q^(2(n+m))) for x >= n, m",
+         spin_up_prob, spin_up_bound, site_bound_regime, lambda n, m: range(1, n + m + 1)),
+        ("adjacent-pair-bound", "P(down at x, up at x+1) <= q^(2(x-n)) (1-q^(2m))/(1-q^(2n)) "
+         "(1-q^(2L))/(1-q^(2(L-1))) for x >= n, m", pair_down_up_prob, pair_down_up_bound,
+         pair_bound_regime, lambda n, m: range(1, n + m) if n and m else ()),
     )
-    down_out = IdentityRecord(
-        "down-spin-bound-out-of-regime", down_in.detail + " (outside x >= n, m)",
-        informational=True,
-    )
-    up_in = IdentityRecord(
-        "up-spin-bound", "P(up at x) <= (1-q^(2m))/(1-q^(2(n+m))) for x >= n, m"
-    )
-    up_out = IdentityRecord(
-        "up-spin-bound-out-of-regime", up_in.detail + " (outside x >= n, m)", informational=True
-    )
-    pair_in = IdentityRecord(
-        "adjacent-pair-bound",
-        "P(down at x, up at x+1) <= q^(2(x-n)) (1-q^(2m))/(1-q^(2n)) "
-        "(1-q^(2L))/(1-q^(2(L-1))) for x >= n, m",
-    )
-    pair_out = IdentityRecord(
-        "adjacent-pair-bound-out-of-regime", pair_in.detail + " (outside x >= n, m)",
-        informational=True,
-    )
-    for n, m in _sectors(max_chain):
-        if n + m < 1:
-            continue
-        for x in range(1, n + m + 1):
-            down = spin_down_prob(n, m, x, cache)
-            up = spin_up_prob(n, m, x, cache)
-            rec_d = down_in if site_bound_regime(n, m, x) else down_out
-            rec_u = up_in if site_bound_regime(n, m, x) else up_out
-            for q in q_grid:
-                rec_d.check(
-                    down.evaluate(q) <= spin_down_bound(n, m, x, q), {"n": n, "m": m, "x": x, "q": q}
-                )
-                rec_u.check(
-                    up.evaluate(q) <= spin_up_bound(n, m, x, q), {"n": n, "m": m, "x": x, "q": q}
-                )
-        if n < 1 or m < 1:
-            continue
-        for x in range(1, n + m):
-            pair = pair_down_up_prob(n, m, x, cache)
-            rec_p = pair_in if pair_bound_regime(n, m, x) else pair_out
-            for q in q_grid:
-                rec_p.check(
-                    pair.evaluate(q) <= pair_down_up_bound(n, m, x, q),
-                    {"n": n, "m": m, "x": x, "q": q},
+    for name, detail, prob, bound, regime, sites_of in site_bounds:
+        hard = report.record(name, detail)
+        out = report.record(
+            name + "-out-of-regime", detail + " (outside x >= n, m)", informational=True
+        )
+        for n, m in _sectors(max_chain):
+            for x in sites_of(n, m):
+                _check_bound(
+                    hard if regime(n, m, x) else out, prob(n, m, x, cache),
+                    partial(bound, n, m, x), q_grid, {"n": n, "m": m, "x": x},
                 )
 
-    multi_in = IdentityRecord(
+    multi_in = report.record(
         "multipoint-exponential-bound",
         "P(assignment with v downs) <= q^(v(v-1) + 2*sum of down distances to n) "
         "for all sites beyond n and m",
     )
-    multi_out = IdentityRecord(
+    multi_out = report.record(
         "multipoint-exponential-bound-out-of-regime",
         multi_in.detail + " (sites anywhere, randomized)",
         informational=True,
@@ -381,12 +352,10 @@ def run_bound_suite(
             for sites in itertools.combinations(window, size):
                 for spins in itertools.product((SPIN_DOWN, SPIN_UP), repeat=size):
                     query = CorrelationQuery(SectorSpec(n, m), sites, spins)
-                    prob = multipoint_prob(query, cache)
-                    for q in q_grid:
-                        multi_in.check(
-                            prob.evaluate(q) <= exp_bound(query, q),
-                            {"n": n, "m": m, "sites": sites, "spins": spins, "q": q},
-                        )
+                    _check_bound(
+                        multi_in, multipoint_prob(query, cache), partial(exp_bound, query),
+                        q_grid, {"n": n, "m": m, "sites": sites, "spins": spins},
+                    )
     for _ in range(_OUT_OF_REGIME_INSTANCES):
         n = rng.randint(0, max_chain)
         m = rng.randint(0, max_chain - n)
@@ -402,13 +371,12 @@ def run_bound_suite(
             prob = multipoint_prob(query, cache)
         except InconsistentQuery:
             continue
-        for q in q_grid:
-            multi_out.check(
-                prob.evaluate(q) <= exp_bound(query, q),
-                {"n": n, "m": m, "sites": sites, "spins": spins, "q": q},
-            )
+        _check_bound(
+            multi_out, prob, partial(exp_bound, query), q_grid,
+            {"n": n, "m": m, "sites": sites, "spins": spins},
+        )
 
-    ratio = IdentityRecord(
+    ratio = report.record(
         "partition-ratio-bound", "Z(n-v,m-w) <= q^(-2nv+v(v-1)) Z(n,m) on the q grid"
     )
     for n, m in _sectors(max_chain):
@@ -419,9 +387,7 @@ def run_bound_suite(
                     len(result.holds_at) == len(q_grid), {"n": n, "m": m, "v": v, "w": w}
                 )
 
-    return VerificationReport(
-        [down_in, down_out, up_in, up_out, pair_in, pair_out, multi_in, multi_out, ratio]
-    )
+    return report
 
 
 def run_fluctuation_suite(
@@ -433,14 +399,15 @@ def run_fluctuation_suite(
     spin distribution at desk scale."""
     cache = ZCache() if cache is None else cache
     q_grid = [Fraction(q) for q in q_grid]
+    report = VerificationReport()
 
-    normalization = IdentityRecord(
+    normalization = report.record(
         "fluctuation-normalization", "window spin probabilities sum to one exactly"
     )
-    symmetry = IdentityRecord(
+    symmetry = report.record(
         "fluctuation-symmetry-mean", "P(F=l) = P(F=-l) and the mean is exactly zero"
     )
-    tail = IdentityRecord(
+    tail = report.record(
         "fluctuation-tail-bound",
         "P(F=l) <= q^(l(l-1)) (1/l!) [q^(L+1)/(1-q^2)]^l exp[q^(L+3)/(1-q^2)] for l >= 1",
     )
@@ -458,14 +425,12 @@ def run_fluctuation_suite(
             normalization.check(total == den, {"N": N, "L": L})
             symmetry.check(sym_ok and mean.is_zero, {"N": N, "L": L})
             for l, prob in dist.items():
-                if l < 1:
-                    continue
-                for q in q_grid:
-                    tail.check(
-                        prob.evaluate(q) <= TailBound(q, L, l).rational_lower(),
-                        {"N": N, "L": L, "l": l, "q": q},
+                if l >= 1:
+                    _check_bound(
+                        tail, prob, lambda q: TailBound(q, L, l).rational_lower(), q_grid,
+                        {"N": N, "L": L, "l": l},
                     )
-    return VerificationReport([normalization, symmetry, tail])
+    return report
 
 
 def run_suites(

@@ -454,6 +454,12 @@ class TestGoldenFiles:
             ),
             ("partition_n2_m1.csv", ["partition", "--n", "2", "--m", "1", "--format", "csv"]),
             ("reduce2d_N3_M4.json", ["reduce2d", "--N", "3", "--M", "4", "--all", "--check"]),
+            ("verify_bounds_chain5.json", ["verify", "bounds", "--max-chain", "5"]),
+            (
+                "verify_all_small.csv",
+                ["verify", "all", "--max-nm", "5", "--enum-limit", "5", "--count", "20",
+                 "--max-chain", "4", "--format", "csv"],
+            ),
         ],
     )
     def test_byte_identical(self, name, argv, capsys):

@@ -1,4 +1,5 @@
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -168,6 +169,19 @@ class TestEvaluate:
         r = QRational(*(QPoly({e: c * 10**307 for e in range(0, 40, 2)}) for c in (1, 2)))
         assert r.evaluate(0.99999) == 0.5
 
+    def test_float_value_past_the_float_range_is_refused(self):
+        # the float sum is inf; the exact value, about 2e310, has no float
+        with pytest.raises(DomainError, match="q=0.99999"):
+            QPoly({e: 10**307 for e in range(2000)}).evaluate(0.99999)
+        with pytest.raises(DomainError, match="q=0.5"):
+            QPoly.monomial(0, 10**400).evaluate(0.5)
+
+    def test_float_denominator_that_underflows_falls_back_to_the_exact_value(self):
+        # 0.5^2000 is 0.0 as a float, though the polynomial is not zero there
+        with pytest.raises(DomainError, match="q=0.5"):
+            QRational(QPoly.one(), QPoly.monomial(2000)).evaluate(0.5)
+        assert QRational(P({0: 1, 1: -2}), QPoly.monomial(2000)).evaluate(0.5) == 0.0
+
     def test_rational_zero_denominator(self):
         r = QRational(QPoly.one(), P({0: 1, 1: -1}))
         with pytest.raises(ZeroDivisionError):
@@ -270,11 +284,19 @@ def same_float(x, y):
     return x.hex() == y.hex()
 
 
-def float_or_overflow(f, *args):
+def rounded(exact):
+    """The float nearest an exact value, or DomainError where it is past the float range."""
+    try:
+        return float(exact)
+    except OverflowError:
+        return DomainError
+
+
+def float_or_domain_error(f, *args):
     try:
         return f(*args)
-    except OverflowError:
-        return "overflow"
+    except DomainError:
+        return DomainError
 
 
 class TestAgainstTheDictOracle:
@@ -329,9 +351,14 @@ class TestAgainstTheDictOracle:
 
     @given(sparse, floats)
     def test_float_evaluate_is_bit_identical(self, a, x):
-        got = float_or_overflow(QPoly(a).evaluate, x)
-        want = float_or_overflow(DictPoly(a).float_value, x)
-        assert got == want if "overflow" in (got, want) else same_float(got, want)
+        got = float_or_domain_error(QPoly(a).evaluate, x)
+        try:
+            want = DictPoly(a).float_value(x)
+        except OverflowError:  # a coefficient past the float range
+            want = math.inf
+        if not math.isfinite(want):
+            want = rounded(fraction_sum(DictPoly(a), Fraction(x)))
+        assert got == want if DomainError in (got, want) else same_float(got, want)
 
     @given(sparse, sparse, st.floats(0.01, 1.5))
     def test_float_ratio_is_bit_identical(self, a, b, x):
@@ -342,9 +369,17 @@ class TestAgainstTheDictOracle:
         num, den = (DictPoly({e - v: c for e, c in p.d.items()}) for p in (num, den))
         try:
             want = num.float_value(x) / den.float_value(x)
-        except (OverflowError, ZeroDivisionError):
-            return
-        assert same_float(QRational(QPoly(a), QPoly(b)).evaluate(x), want)
+        except (OverflowError, ZeroDivisionError):  # a sum overflowed or underflowed to zero
+            want = math.inf
+        if not math.isfinite(want):
+            exact_den = fraction_sum(den, Fraction(x))
+            if exact_den == 0:
+                with pytest.raises(ZeroDivisionError):
+                    QRational(QPoly(a), QPoly(b)).evaluate(x)
+                return
+            want = rounded(fraction_sum(num, Fraction(x)) / exact_den)
+        got = float_or_domain_error(QRational(QPoly(a), QPoly(b)).evaluate, x)
+        assert got == want if DomainError in (got, want) else same_float(got, want)
 
 
 @settings(max_examples=5, deadline=None)

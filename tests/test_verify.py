@@ -2,6 +2,7 @@ import json
 
 from qpaths.verify import (
     IdentityRecord,
+    VerificationReport,
     run_bound_suite,
     run_fluctuation_suite,
     run_identity_suite,
@@ -43,6 +44,13 @@ class TestBoundSuite:
             "multipoint-exponential-bound",
             "partition-ratio-bound",
         } == hard
+        # each bound but the ratio one has an out-of-regime twin, and no name repeats
+        names = [r.name for r in report.records]
+        assert len(names) == 9
+        assert set(names) == hard | {
+            f"{name}-out-of-regime" for name in hard - {"partition-ratio-bound"}
+        }
+        assert all(r.instances > 0 for r in report.records if not r.informational)
 
     def test_out_of_regime_records_are_informational(self):
         report = run_bound_suite(max_chain=5)
@@ -74,6 +82,14 @@ class TestReportShape:
         assert obj["instances"] == 2
         assert obj["failure_count"] == 1
         assert obj["failures"] == [{"n": "2"}]
+
+    def test_record_joins_its_report(self):
+        report = VerificationReport()
+        record = report.record("demo", "x equals y", informational=True)
+        assert report.records == [record] and record.informational
+        record.check(False, {"n": 1})
+        assert report.passed  # an informational failure
+        assert VerificationReport([record]).records == [record]
 
     def test_json_is_stable_and_sorted(self):
         report = run_suites(["identities"], max_nm=4, enumeration_limit=4, random_instances=10)
