@@ -44,7 +44,7 @@ from .correlations import (
     multipoint_prob,
 )
 from .errors import CapExceeded, DomainError, InconsistentQuery, RangeError
-from .partition import DEFAULT_Q_GRID, ZCache, z_cached, z_recursive
+from .partition import DEFAULT_Q_GRID, z_closed, z_recursive
 from .paths import BoxSpec, oracle_partition
 from .qpoly import _any_length_ints
 from .reduction2d import _check_shape, compositions, z2d_oracle, z2d_product, z2d_reduction
@@ -134,6 +134,8 @@ def _emit(args, envelope: dict, table: Optional[tuple[list[str], list[list]]]):
 
 def _run_partition(args) -> tuple:
     _check_sizes(args, "cap")
+    if args.float and args.eval is None:
+        raise ValueError("--float needs --eval")
     if args.oracle:
         poly = oracle_partition(BoxSpec.sector(args.n, args.m), cap=args.cap)
         method = "oracle"
@@ -141,7 +143,7 @@ def _run_partition(args) -> tuple:
         poly = z_recursive(args.n, args.m)
         method = "recursive"
     else:
-        poly = z_cached(args.n, args.m, ZCache())
+        poly = z_closed(args.n, args.m)
         method = "closed"
     q = _parse_q(args.eval, args.float) if args.eval is not None else None
     q_mode = None if q is None else ("float" if args.float else "exact")
@@ -152,8 +154,10 @@ def _run_partition(args) -> tuple:
 
 
 def _run_correlate(args) -> tuple:
+    if args.float and args.eval is None:
+        raise ValueError("--float needs --eval")
     query = CorrelationQuery.build(args.n, args.m, _parse_sites(args.sites))
-    prob = multipoint_prob(query, ZCache())
+    prob = multipoint_prob(query)
     in_regime = multipoint_bound_regime(query)
     if args.eval is not None:
         qs = [_parse_q(args.eval, args.float)]
@@ -185,7 +189,7 @@ def _run_correlate(args) -> tuple:
 def _run_fluctuations(args) -> tuple:
     fq = FluctuationQuery(args.N, args.L)
     q = _parse_q(args.q, args.float)
-    dist = fluctuation_distribution(fq, ZCache())
+    dist = fluctuation_distribution(fq)
     rows = []
     for l, prob in sorted(dist.items()):
         p = prob.evaluate(q)
@@ -216,7 +220,7 @@ def _run_reduce2d(args) -> tuple:
     terms = [{"k": k, "polynomial": oracle[k].to_json_obj()} for k in ks]
     result = {"terms": terms}
     if args.check:
-        reduction, product = z2d_reduction(args.N, args.M, ZCache()), z2d_product(args.N, args.M)
+        reduction, product = z2d_reduction(args.N, args.M), z2d_product(args.N, args.M)
         for k, entry in zip(ks, terms):
             entry["compositions"] = [list(c) for c in compositions(args.N, args.M, k)]
             entry["routes_agree"] = reduction[k] == product[k] == oracle[k]
@@ -239,7 +243,6 @@ def _run_verify(args) -> tuple:
         max_chain=args.max_chain,
         q_grid=q_grid,
         seed=args.seed,
-        cache=ZCache(),
     )
     result = report.to_json_obj()
     config = {

@@ -33,6 +33,9 @@ from .qpoly import QPoly, QRational, Scalar
 SPIN_DOWN = "down"
 SPIN_UP = "up"
 
+#: Series terms of exp summed by ``TailBound.rational_lower``.
+_TAIL_SERIES_TERMS = 16
+
 
 @dataclass(frozen=True)
 class CorrelationQuery:
@@ -305,13 +308,13 @@ class TailBound:
                 f"tail bound at l={l}, L={L}, q={self.q} is past the float range"
             ) from None
 
-    def rational_lower(self, terms: int = 16) -> Fraction:
-        """A certified rational lower bound (exp replaced by a truncated
-        series), usable for exact <= comparisons against probabilities."""
+    def rational_lower(self) -> Fraction:
+        """A certified rational lower bound (exp cut to its first 16 series
+        terms), usable for exact <= comparisons against probabilities."""
         q = Fraction(self.q)
         bracket = q ** (self.L + 1) / (1 - q * q)
         t = q ** (self.L + 3) / (1 - q * q)
-        exp_lower = sum(t**k / math.factorial(k) for k in range(terms))
+        exp_lower = sum(t**k / math.factorial(k) for k in range(_TAIL_SERIES_TERMS))
         return q ** (self.l * (self.l - 1)) / math.factorial(self.l) * bracket**self.l * exp_lower
 
 

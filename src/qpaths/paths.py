@@ -72,7 +72,7 @@ class Path:
     def __post_init__(self):
         if self.origin[0] < 0 or self.origin[1] < 0:
             raise ValueError(f"origin {self.origin} outside the positive quadrant")
-        if any(s not in (DOWN, UP) for s in self.steps):
+        if not set(self.steps) <= {DOWN, UP}:
             raise ValueError(f"steps must be over {{H,V}}, got {self.steps!r}")
 
     @property
@@ -176,7 +176,4 @@ def enumerate_paths(box: BoxSpec, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterato
 
 def oracle_partition(box: BoxSpec, cap: int = DEFAULT_ENUMERATION_CAP) -> QPoly:
     """Brute-force partition function: the sum of weights over all paths."""
-    total = QPoly.zero()
-    for p in enumerate_paths(box, cap):
-        total = total + p.weight()
-    return total
+    return QPoly((p.weight().min_exponent(), 1) for p in enumerate_paths(box, cap))

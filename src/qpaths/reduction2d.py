@@ -22,9 +22,8 @@ the reduction and the product and compares all three exactly.
 from __future__ import annotations
 
 import math
-from typing import Optional
 
-from .partition import ZCache, z_row
+from .partition import z_row
 from .qpoly import QPoly
 
 
@@ -67,7 +66,7 @@ def _z_product(a: list[QPoly], b: list[QPoly]) -> list[QPoly]:
     return out
 
 
-def z2d_reduction(N: int, M: int, cache: Optional[ZCache] = None) -> list[QPoly]:
+def z2d_reduction(N: int, M: int) -> list[QPoly]:
     """[Z2d(k, NM-k) for k = 0..NM] by reduction to 1D partition functions.
 
     Entry k is q^(2(N-1)k) times coefficient k of (sum_i Z(i, M-i) z^i)^N.
@@ -75,7 +74,7 @@ def z2d_reduction(N: int, M: int, cache: Optional[ZCache] = None) -> list[QPoly]
     ``compositions(N, M, k)`` of N!/(k_0! ... k_M!) prod_i Z(i, M-i)^(k_i).
     """
     _check_shape(N, M)
-    row = z_row(M, M, cache)
+    row = z_row(M, M)
     power = [QPoly.one()]
     for _ in range(N):
         power = _z_product(power, row)

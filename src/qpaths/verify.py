@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import InconsistentQuery
 from .correlations import (
@@ -128,7 +128,6 @@ def run_identity_suite(
     enumeration_limit: int = 10,
     random_instances: int = 100,
     seed: int = 0,
-    cache: Optional[ZCache] = None,
 ) -> VerificationReport:
     """Exact structural identities of the partition functions and path space.
 
@@ -138,7 +137,7 @@ def run_identity_suite(
     for n, m in _sectors(enumeration_limit):
         check_path_cap(BoxSpec.sector(n, m))
     rng = random.Random(seed)
-    cache = ZCache() if cache is None else cache
+    cache = ZCache()
     report = VerificationReport()
 
     closed_enum = report.record(
@@ -304,12 +303,11 @@ def run_bound_suite(
     max_chain: int = 8,
     q_grid: Sequence[Fraction] = DEFAULT_Q_GRID,
     seed: int = 0,
-    cache: Optional[ZCache] = None,
 ) -> VerificationReport:
     """Inequality checks at exact rational q: in-regime failures are hard,
     out-of-regime ones informational."""
     rng = random.Random(seed)
-    cache = ZCache() if cache is None else cache
+    cache = ZCache()
     q_grid = [Fraction(q) for q in q_grid]
     report = VerificationReport()
 
@@ -393,11 +391,10 @@ def run_bound_suite(
 def run_fluctuation_suite(
     max_N: int = 8,
     q_grid: Sequence[Fraction] = DEFAULT_Q_GRID,
-    cache: Optional[ZCache] = None,
 ) -> VerificationReport:
     """Normalization, symmetry, zero mean, and the tail bound of the window
     spin distribution at desk scale."""
-    cache = ZCache() if cache is None else cache
+    cache = ZCache()
     q_grid = [Fraction(q) for q in q_grid]
     report = VerificationReport()
 
@@ -411,6 +408,10 @@ def run_fluctuation_suite(
         "fluctuation-tail-bound",
         "P(F=l) <= q^(l(l-1)) (1/l!) [q^(L+1)/(1-q^2)]^l exp[q^(L+3)/(1-q^2)] for l >= 1",
     )
+    tail_bounds = {
+        (L, l, q): TailBound(q, L, l).rational_lower()
+        for L in range(2, max_N + 1, 2) for l in range(1, L // 2 + 1) for q in q_grid
+    }
     for N in range(2, max_N + 1, 2):
         for L in range(2, N + 1, 2):
             dist = fluctuation_distribution(FluctuationQuery(N, L), cache)
@@ -427,7 +428,7 @@ def run_fluctuation_suite(
             for l, prob in dist.items():
                 if l >= 1:
                     _check_bound(
-                        tail, prob, lambda q: TailBound(q, L, l).rational_lower(), q_grid,
+                        tail, prob, lambda q: tail_bounds[L, l, q], q_grid,
                         {"N": N, "L": L, "l": l},
                     )
     return report
@@ -441,10 +442,8 @@ def run_suites(
     max_chain: int = 8,
     q_grid: Sequence[Fraction] = DEFAULT_Q_GRID,
     seed: int = 0,
-    cache: Optional[ZCache] = None,
 ) -> VerificationReport:
-    """Run the named suites ('identities', 'bounds', 'fluctuations', 'all')."""
-    cache = ZCache() if cache is None else cache
+    """Run the named suites ('identities', 'bounds', 'fluctuations', 'all'); each owns its memo."""
     records: list[IdentityRecord] = []
     wanted = set(suites)
     if "all" in wanted:
@@ -453,9 +452,9 @@ def run_suites(
     if unknown:
         raise ValueError(f"unknown suite(s): {sorted(unknown)}")
     if "identities" in wanted:
-        records += run_identity_suite(max_nm, enumeration_limit, random_instances, seed, cache).records
+        records += run_identity_suite(max_nm, enumeration_limit, random_instances, seed).records
     if "bounds" in wanted:
-        records += run_bound_suite(max_chain, q_grid, seed, cache=cache).records
+        records += run_bound_suite(max_chain, q_grid, seed).records
     if "fluctuations" in wanted:
-        records += run_fluctuation_suite(min(max_chain, 8) * 2, q_grid, cache).records
+        records += run_fluctuation_suite(min(max_chain, 8) * 2, q_grid).records
     return VerificationReport(records)

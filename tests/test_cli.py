@@ -153,6 +153,9 @@ def test_bad_rational_or_sweep_file_is_a_diagnostic(argv, capsys):
         (["partition", "--n", "2", "--m", "2", "--cap", "-1"], "--cap must be >= 0"),
         (["fluctuations", "--N", "54", "--L", "54", "--q", "0.999999999999"],
          "tail bound at l=27, L=54, q=999999999999/1000000000000 is past the float range"),
+        (["partition", "--n", "1", "--m", "1", "--float"], "--float needs --eval"),
+        (["correlate", "--n", "2", "--m", "2", "--sites", "3:down", "--float"],
+         "--float needs --eval"),
     ],
 )
 def test_diagnostic_names_the_precondition(argv, message, capsys):
@@ -388,6 +391,14 @@ class TestSweep:
         _, second = run_cli(argv, capsys)
         assert first == second
 
+    def test_swept_eval_satisfies_float(self, tmp_path, capsys):
+        grid = tmp_path / "grid.cfg"
+        grid.write_text("eval = 1/2\n", encoding="utf-8")
+        argv = ["partition", "--n", "1", "--m", "1", "--float", "--sweep", str(grid)]
+        code, out = run_cli(argv, capsys)
+        assert code == 0
+        assert json.loads(out)["result"]["value"] == 0.3125
+
     def test_empty_grid_rejected(self, tmp_path, capsys):
         grid = tmp_path / "grid.cfg"
         grid.write_text("# nothing here\n", encoding="utf-8")
@@ -473,21 +484,27 @@ class TestGoldenFiles:
     [
         (["partition", "--n", "3", "--m", "2", "--oracle"], 0),
         (["partition", "--n", "3", "--m", "2", "--recursive"], 0),
-        (["partition", "--n", "3", "--m", "2"], 1),
         (["correlate", "--n", "2", "--m", "2", "--sites", "3:down"], 1),
         (["fluctuations", "--N", "4", "--L", "2", "--q", "1/2"], 1),
         (["reduce2d", "--N", "2", "--M", "2", "--all", "--check"], 1),
         (["verify", "identities", "--max-nm", "3", "--count", "2"], 1),
+        (["verify", "bounds", "--max-chain", "3"], 1),
+        (["partition", "--n", "3", "--m", "2"], 0),
+        (["reduce2d", "--N", "2", "--M", "2", "--all"], 0),
+        (["verify", "all", "--max-nm", "3", "--count", "2", "--max-chain", "3"], 3),
     ],
 )
 def test_which_runs_make_a_cache(argv, caches, monkeypatch, capsys):
+    """The CLI passes no cache: a memo is made only by a verify suite, or by a
+    `z_row` or `fluctuation_distribution` given none."""
     made = []
+    init = ZCache.__init__
 
-    def counting_cache():
-        made.append(ZCache())
-        return made[-1]
+    def counting_init(cache):
+        init(cache)
+        made.append(cache)
 
-    monkeypatch.setattr("qpaths.cli.ZCache", counting_cache)
+    monkeypatch.setattr(ZCache, "__init__", counting_init)
     code, _ = run_cli(argv, capsys)
     assert code == 0
     assert len(made) == caches

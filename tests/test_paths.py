@@ -47,8 +47,9 @@ class TestPath:
             Path.from_text("(0,0)HV")
 
     def test_invalid_steps(self):
-        with pytest.raises(ValueError):
-            Path((0, 0), "HX")
+        for steps in ("HX", "XHV", "HXV", "HVx", "H V", "h"):
+            with pytest.raises(ValueError, match="steps must be over"):
+                Path((0, 0), steps)
 
 
 class TestWeight:
