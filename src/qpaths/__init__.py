@@ -6,13 +6,12 @@ docstrings for the conventions (H step = down spin, weight q^(2*position)).
 """
 
 from .errors import CapExceeded, DomainError, InconsistentQuery, RangeError
-from .qpoly import ModelParameters, QPoly, QRational
+from .qpoly import QPoly, QRational
 from .paths import BoxSpec, Path, enumerate_paths, oracle_partition
 from .partition import (
     SectorSpec,
     ZCache,
     markov_decompose,
-    parameters_roundtrip,
     ratio_bound_check,
     z_cached,
     z_closed,
@@ -30,7 +29,6 @@ from .correlations import (
     multipoint_prob,
     pair_down_up_bound,
     pair_down_up_prob,
-    point_prob,
     spin_down_bound,
     spin_down_prob,
     spin_up_bound,
@@ -48,7 +46,6 @@ __all__ = [
     "DomainError",
     "FluctuationQuery",
     "InconsistentQuery",
-    "ModelParameters",
     "Path",
     "PathSampler",
     "QPoly",
@@ -67,8 +64,6 @@ __all__ = [
     "oracle_partition",
     "pair_down_up_bound",
     "pair_down_up_prob",
-    "parameters_roundtrip",
-    "point_prob",
     "ratio_bound_check",
     "run_suites",
     "spin_down_bound",

@@ -9,7 +9,8 @@ path-text lines by default.  q values are rational text ("1/2", "0.5");
 evaluating at the nearest float requires the explicit --float flag.  Exact
 values print in full, whatever their length.  Exit codes: 0 success,
 1 verification failure or stdout closed by its reader before the output was
-written, 2 usage or precondition error.
+written, 2 usage or precondition error, or a request too large for this
+machine (an ``OverflowError`` or ``MemoryError``).
 
 A sweep file (``--sweep``) holds lines ``flag = value, value, ...``; the
 cartesian product of all listed flags is run in grid order, one compact
@@ -27,6 +28,7 @@ import itertools
 import json
 import os
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -43,12 +45,24 @@ from .correlations import (
     multipoint_bound_regime,
     multipoint_prob,
 )
-from .errors import CapExceeded, DomainError, InconsistentQuery, RangeError
+from .errors import CapExceeded, DomainError
 from .partition import DEFAULT_Q_GRID, z_closed, z_recursive
 from .paths import BoxSpec, oracle_partition
-from .qpoly import _any_length_ints
 from .reduction2d import _check_shape, compositions, z2d_oracle, z2d_product, z2d_reduction
 from .verify import run_suites
+
+
+@contextmanager
+def _any_length_ints():
+    """Lift the int/str conversion digit limit (Python 3.10.7+) inside the block."""
+    old = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit, or Python < 3.10.7
+    set_limit = sys.set_int_max_str_digits if old else (lambda _: None)
+    set_limit(0)
+    try:
+        yield
+    finally:
+        set_limit(old)
+
 
 def _parse_q(text: str, as_float: bool):
     # Bound q's digits as written before Fraction expands them: 1e-1000000
@@ -439,7 +453,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # so the interpreter's final flush cannot raise again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (DomainError, RangeError, CapExceeded, InconsistentQuery, ValueError) as exc:
+    except (CapExceeded, ValueError, OverflowError, MemoryError) as exc:
+        if isinstance(exc, (OverflowError, MemoryError)):
+            exc = "the request is too large for this machine"
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

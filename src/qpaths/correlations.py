@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .errors import DomainError, InconsistentQuery, RangeError
-from .partition import SectorSpec, ZCache, z_cached, z_row
+from .partition import SectorSpec, ZCache, z_row
 from .paths import DOWN, UP, Path
 from .qpoly import QPoly, QRational, Scalar
 
@@ -76,20 +76,6 @@ class CorrelationQuery:
         """v(v-1) + 2 * sum of the down sites' interface distances x - n, v = ``down_count``."""
         v = self.down_count
         return v * (v - 1) + 2 * sum(x - self.sector.n for x in self.downs)
-
-
-# -- single-point and few-point probabilities --------------------------------
-
-
-def point_prob(n: int, m: int, x: int, y: int, cache: Optional[ZCache] = None) -> QRational:
-    """Probability that a path from the origin to (n, m) passes through (x, y).
-
-    Equals q^(2(x+y)(n-x)) * Z(x,y) * Z(n-x, m-y) / Z(n,m).
-    """
-    if not (0 <= x <= n and 0 <= y <= m):
-        raise RangeError(f"point ({x},{y}) outside the box (0,0;{n},{m})")
-    num = (z_cached(x, y, cache) * z_cached(n - x, m - y, cache)).shift(2 * (x + y) * (n - x))
-    return QRational(num, z_cached(n, m, cache))
 
 
 def _deflate(row: list[QPoly], sites: Iterable[int], k: int) -> list[QPoly]:

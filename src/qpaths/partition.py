@@ -11,15 +11,14 @@ in this package computable without enumeration.
 from __future__ import annotations
 
 import itertools
-import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from .errors import DomainError, RangeError
+from .errors import RangeError
 from .paths import BoxSpec
-from .qpoly import ModelParameters, QPoly, QRational
+from .qpoly import QPoly, QRational
 
 #: Exact-rational grid used by default for inequality checks.
 DEFAULT_Q_GRID = (Fraction(1, 5), Fraction(1, 2), Fraction(4, 5))
@@ -226,23 +225,3 @@ def ratio_bound_check(
     ratio = QRational(lhs, rhs)
     holds_at = [q for q in q_grid if ratio.evaluate(q) <= 1]
     return RatioBoundResult(lhs, rhs, holds_at)
-
-
-def parameters_roundtrip(params: ModelParameters) -> dict:
-    """Report the parameter chain q -> delta -> boundary field -> beta.
-
-    Includes the closure checks q^2 = exp(-beta) and the inversion
-    delta -> q, both as absolute errors in float arithmetic.
-    """
-    if not 0 < params.q < 1:
-        raise DomainError(f"q must lie strictly in (0, 1), got {params.q}")
-    q = float(params.q)
-    return {
-        "q": q,
-        "delta": float(params.delta),
-        "delta_excess": float(params.delta) - 1.0,
-        "boundary_field": params.boundary_field,
-        "beta": params.beta,
-        "q_squared_vs_exp_minus_beta": abs(q * q - math.exp(-params.beta)),
-        "q_roundtrip_error": abs(params.q_from_delta() - q),
-    }

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import re
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -29,8 +28,6 @@ UP = "V"
 
 #: Default ceiling on brute-force enumeration; oracles are for desk scale.
 DEFAULT_ENUMERATION_CAP = 1_000_000
-
-_PATH_RE = re.compile(r"^\((\d+),(\d+)\):([HV]*)$")
 
 
 @dataclass(frozen=True)
@@ -75,41 +72,6 @@ class Path:
         if not set(self.steps) <= {DOWN, UP}:
             raise ValueError(f"steps must be over {{H,V}}, got {self.steps!r}")
 
-    @property
-    def length(self) -> int:
-        return len(self.steps)
-
-    @property
-    def down_count(self) -> int:
-        return self.steps.count(DOWN)
-
-    @property
-    def up_count(self) -> int:
-        return self.steps.count(UP)
-
-    @property
-    def endpoint(self) -> tuple[int, int]:
-        return (self.origin[0] + self.down_count, self.origin[1] + self.up_count)
-
-    def spins(self) -> tuple[int, ...]:
-        """The configuration view: 1 for a down spin (H), 0 for an up spin (V)."""
-        return tuple(1 if s == DOWN else 0 for s in self.steps)
-
-    @classmethod
-    def from_spins(cls, spins, origin: tuple[int, int] = (0, 0)) -> Path:
-        return cls(origin, "".join(DOWN if a else UP for a in spins))
-
-    def points(self) -> Iterator[tuple[int, int]]:
-        """Lattice points visited, origin included."""
-        x, y = self.origin
-        yield (x, y)
-        for s in self.steps:
-            if s == DOWN:
-                x += 1
-            else:
-                y += 1
-            yield (x, y)
-
     def weight(self) -> QPoly:
         """Monomial q^(2 * sum of x+y over horizontal-step right ends)."""
         x, y = self.origin
@@ -145,13 +107,6 @@ class Path:
 
     def to_text(self) -> str:
         return f"({self.origin[0]},{self.origin[1]}):{self.steps}"
-
-    @classmethod
-    def from_text(cls, text: str) -> Path:
-        m = _PATH_RE.match(text.strip())
-        if m is None:
-            raise ValueError(f"malformed path text {text!r}")
-        return cls((int(m.group(1)), int(m.group(2))), m.group(3))
 
 
 def check_path_cap(box: BoxSpec, cap: int = DEFAULT_ENUMERATION_CAP) -> None:

@@ -24,9 +24,7 @@ every operation returns a new object, which may share an operand's list.
 from __future__ import annotations
 
 import math
-import sys
-from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, sub
 from typing import Iterable, Mapping, Union
@@ -34,18 +32,6 @@ from typing import Iterable, Mapping, Union
 from .errors import DomainError
 
 Scalar = Union[Fraction, float]
-
-
-@contextmanager
-def _any_length_ints():
-    """Lift the int/str conversion digit limit (Python 3.10.7+) inside the block."""
-    old = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit, or Python < 3.10.7
-    set_limit = sys.set_int_max_str_digits if old else (lambda _: None)
-    set_limit(0)
-    try:
-        yield
-    finally:
-        set_limit(old)
 
 
 def _horner(low: int, coeffs: list[int], a: int, b: int, top: int) -> int:
@@ -91,9 +77,12 @@ class QPoly:
         if low < 0:
             raise ValueError(f"negative exponent {low}")
         if not (coeffs and coeffs[0] and coeffs[-1]):
-            nonzero = [i for i, c in enumerate(coeffs) if c]
-            coeffs = coeffs[nonzero[0] : nonzero[-1] + 1] if nonzero else []
-            low = low + nonzero[0] if nonzero else 0
+            start, end = 0, len(coeffs)
+            while end and not coeffs[end - 1]:
+                end -= 1
+            while start < end and not coeffs[start]:
+                start += 1
+            coeffs, low = (coeffs[start:end], low + start) if end else ([], 0)
         out = object.__new__(cls)
         out._low, out._coeffs = low, coeffs
         return out
@@ -153,9 +142,6 @@ class QPoly:
     def __hash__(self) -> int:
         return hash((self._low, tuple(self._coeffs)))
 
-    def __neg__(self) -> QPoly:
-        return QPoly.dense(self._low, [-c for c in self._coeffs])
-
     def _combine(self, other: QPoly, op) -> QPoly:
         if not isinstance(other, QPoly):
             return NotImplemented
@@ -201,24 +187,6 @@ class QPoly:
     def to_json_obj(self) -> list[list]:
         """[[exponent, coefficient-as-decimal-string], ...] sorted by exponent."""
         return [[e, str(c)] for e, c in self.terms()]
-
-    @classmethod
-    def from_json_obj(cls, obj: Iterable) -> QPoly:
-        """Inverse of ``to_json_obj``; coefficients of any length parse."""
-        with _any_length_ints():
-            return cls((int(e), int(c)) for e, c in obj)
-
-    def __str__(self) -> str:
-        if not self._coeffs:
-            return "0"
-        parts = []
-        for e, c in self.terms():
-            if e == 0:
-                parts.append(str(c))
-            else:
-                mono = "q" if e == 1 else f"q^{e}"
-                parts.append(mono if c == 1 else f"-{mono}" if c == -1 else f"{c}*{mono}")
-        return " + ".join(parts).replace("+ -", "- ")
 
     def __repr__(self) -> str:
         return f"QPoly({dict(self.terms())!r})"
@@ -281,39 +249,3 @@ class QRational:
 
     def to_json_obj(self) -> dict:
         return {"num": self.num.to_json_obj(), "den": self.den.to_json_obj()}
-
-    @classmethod
-    def from_json_obj(cls, obj: Mapping) -> QRational:
-        return cls(QPoly.from_json_obj(obj["num"]), QPoly.from_json_obj(obj["den"]))
-
-    def __str__(self) -> str:
-        return f"({self.num}) / ({self.den})"
-
-
-@dataclass(frozen=True)
-class ModelParameters:
-    """Spin-chain parameters derived from the weight base q in (0, 1).
-
-    delta      anisotropy (q + 1/q)/2, exact when q is a Fraction
-    boundary_field   pinning field sqrt(1 - delta^-2)/2
-    beta       inverse temperature of the equivalent classical area model,
-               fixed by q^2 = exp(-beta)
-    """
-
-    q: Scalar
-    delta: Scalar = field(init=False)
-    boundary_field: float = field(init=False)
-    beta: float = field(init=False)
-
-    def __post_init__(self):
-        if not 0 < self.q < 1:
-            raise DomainError(f"q must lie strictly in (0, 1), got {self.q}")
-        delta = (self.q + 1 / self.q) / 2
-        object.__setattr__(self, "delta", delta)
-        object.__setattr__(self, "boundary_field", 0.5 * math.sqrt(1 - 1 / float(delta) ** 2))
-        object.__setattr__(self, "beta", -2.0 * math.log(float(self.q)))
-
-    def q_from_delta(self) -> float:
-        """Invert delta -> q, taking the root in (0, 1)."""
-        d = float(self.delta)
-        return d - math.sqrt(d * d - 1)

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -6,6 +8,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qpaths.cli import main
 from qpaths.partition import ZCache, z_closed
@@ -156,6 +160,14 @@ def test_bad_rational_or_sweep_file_is_a_diagnostic(argv, capsys):
         (["partition", "--n", "1", "--m", "1", "--float"], "--float needs --eval"),
         (["correlate", "--n", "2", "--m", "2", "--sites", "3:down", "--float"],
          "--float needs --eval"),
+        # each of these fails at once with an OverflowError, before allocating anything
+        *((argv, "the request is too large for this machine") for argv in (
+            ["partition", "--n", "2", "--m", str(10**20)],
+            ["correlate", "--n", "1", "--m", str(10**20), "--sites", "1:down"],
+            ["fluctuations", "--N", str(10**20), "--L", "2", "--q", "1/2"],
+            ["reduce2d", "--N", str(10**20), "--M", "1", "--k", "0"],
+            ["reduce2d", "--N", "1", "--M", str(10**20), "--all"],
+        )),
     ],
 )
 def test_diagnostic_names_the_precondition(argv, message, capsys):
@@ -538,3 +550,92 @@ def test_stdout_closed_by_its_reader_exits_quietly():
         os.close(write_end)
     assert proc.stderr == ""  # in particular, no Traceback
     assert proc.returncode == 1
+
+
+def mostly(good, bad):
+    """Values of ``good`` nine times in ten, else of ``bad``."""
+    return st.integers(0, 9).flatmap(lambda i: good if i else bad)
+
+
+#: Sizes of 6 or less, now and then negative or not an integer at all.
+SIZES = mostly(st.integers(0, 6).map(str), st.sampled_from(["-1", "-2", "1.5", "x", "", "+3"]))
+Q_TEXTS = mostly(
+    st.sampled_from(["1/2", "0.3", "2/7", "9/10", "1e-3"]),
+    st.sampled_from(["0", "1", "3/2", "-1/2", "1/0", "abc", "", "1e-400", "0.99999999999999999"]),
+)
+SITES = mostly(
+    st.lists(st.tuples(st.integers(1, 6), st.sampled_from(["down", "up"])),
+             min_size=1, max_size=3, unique_by=lambda pair: pair[0])
+    .map(lambda pairs: ",".join(f"{x}:{spin}" for x, spin in pairs)),
+    st.sampled_from(["", "0:down", "x:down", "3:left", "3", "1:down,,2:up"]),
+)
+FLAG = st.none()
+FORMATS = st.sampled_from(["json", "csv", "text", "xml"])
+EVEN_SIZES = mostly(st.sampled_from(["2", "4", "6"]), SIZES)
+
+#: Per subcommand: the flags it always gets, the flags it needs (each left
+#: out now and then) and the flags mixed in at random.  verify always gets
+#: small sizes: its defaults take a tenth of a second or more.
+COMMANDS = {
+    "partition": (
+        {},
+        {"--n": SIZES, "--m": SIZES},
+        {"--recursive": FLAG, "--oracle": FLAG, "--eval": Q_TEXTS, "--float": FLAG,
+         "--cap": SIZES, "--format": FORMATS},
+    ),
+    "correlate": (
+        {},
+        {"--n": SIZES, "--m": SIZES, "--sites": SITES},
+        {"--eval": Q_TEXTS, "--exact": FLAG, "--float": FLAG, "--format": FORMATS},
+    ),
+    "fluctuations": (
+        {},
+        {"--N": EVEN_SIZES, "--L": EVEN_SIZES, "--q": Q_TEXTS},
+        {"--float": FLAG, "--format": FORMATS},
+    ),
+    "sample": (
+        {},
+        {"--n": SIZES, "--m": SIZES, "--q": Q_TEXTS, "--seed": SIZES},
+        {"--count": SIZES, "--format": FORMATS},
+    ),
+    "reduce2d": (
+        {},
+        {"--N": SIZES, "--M": SIZES, "--k": SIZES},
+        {"--all": FLAG, "--check": FLAG, "--format": FORMATS},
+    ),
+    "verify": (
+        {"--max-nm": SIZES, "--enum-limit": SIZES, "--count": SIZES, "--max-chain": SIZES},
+        {},
+        {"--q-grid": st.sampled_from(["1/2", "1/5,4/5", "1/2,1", "", "1/2,,4/5"]), "--seed": SIZES,
+         "--format": FORMATS},
+    ),
+}
+SUITES = st.sampled_from(["identities", "bounds", "fluctuations", "all", "none"])
+
+
+@st.composite
+def cli_argvs(draw):
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    always, needed, mixed = COMMANDS[command]
+    flags = [*always, *(flag for flag in needed if draw(st.integers(0, 9)))]  # needed: 9 in 10
+    flags += draw(st.lists(st.sampled_from(sorted(mixed)), unique=True))
+    argv = [command, draw(SUITES)] if command == "verify" else [command]
+    for flag in draw(st.permutations(flags)):
+        value = draw({**always, **needed, **mixed}[flag])
+        argv += [flag] if value is None else [flag, value]
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(cli_argvs())
+def test_fuzzed_argv_exits_0_1_or_2(argv):
+    """Only argparse's SystemExit leaves main, and every exit 2 says why on stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.getvalue()

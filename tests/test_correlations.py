@@ -24,14 +24,13 @@ from qpaths.correlations import (
     pair_bound_regime,
     pair_down_up_bound,
     pair_down_up_prob,
-    point_prob,
     site_bound_regime,
     spin_down_bound,
     spin_down_prob,
     spin_up_bound,
     spin_up_prob,
 )
-from qpaths.errors import DomainError, InconsistentQuery, RangeError
+from qpaths.errors import DomainError, InconsistentQuery
 from qpaths.partition import SectorSpec, ZCache, z_closed, z_generalized, z_row
 from qpaths.paths import DOWN, UP, BoxSpec, Path
 from qpaths.qpoly import QPoly, QRational
@@ -59,32 +58,6 @@ def all_sectors(max_total):
     for total in range(max_total + 1):
         for n in range(total + 1):
             yield n, total - n
-
-
-class TestPointProb:
-    def test_endpoints_are_certain(self):
-        for n, m in ((1, 1), (3, 2), (0, 4)):
-            assert point_prob(n, m, 0, 0).evaluate(HALF) == 1
-            assert point_prob(n, m, n, m).evaluate(HALF) == 1
-
-    def test_corner_point(self):
-        assert point_prob(1, 1, 1, 0).evaluate(HALF) == Fraction(4, 5)
-
-    def test_against_path_enumeration(self):
-        from qpaths.paths import BoxSpec, enumerate_paths
-
-        for n, m in ((2, 2), (3, 1), (2, 3)):
-            for x in range(n + 1):
-                for y in range(m + 1):
-                    through = QPoly.zero()
-                    for p in enumerate_paths(BoxSpec.sector(n, m)):
-                        if (x, y) in set(p.points()):
-                            through = through + p.weight()
-                    assert point_prob(n, m, x, y) == QRational(through, z_closed(n, m))
-
-    def test_out_of_box(self):
-        with pytest.raises(RangeError):
-            point_prob(2, 2, 3, 0)
 
 
 class TestSingleSpin:
@@ -483,7 +456,8 @@ class TestSampler:
     def test_draws_reach_the_endpoint(self):
         sampler = PathSampler(3, 5, Fraction(2, 7), 7)
         for _ in range(50):
-            assert sampler.draw().endpoint == (3, 5)
+            steps = sampler.draw().steps
+            assert (steps.count(DOWN), steps.count(UP)) == (3, 5)
 
     def test_empirical_frequency_11(self):
         # P(HV) = q^2/(q^2+q^4) = 4/5 at q = 1/2; 3 sigma over 10^5 draws

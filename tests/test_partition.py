@@ -6,12 +6,11 @@ from fractions import Fraction
 import pytest
 
 from qpaths import partition
-from qpaths.errors import DomainError, RangeError
+from qpaths.errors import RangeError
 from qpaths.partition import (
     SectorSpec,
     ZCache,
     markov_decompose,
-    parameters_roundtrip,
     ratio_bound_check,
     z_cached,
     z_closed,
@@ -19,14 +18,24 @@ from qpaths.partition import (
     z_recursive,
     z_row,
 )
-from qpaths.paths import BoxSpec, enumerate_paths, oracle_partition
-from qpaths.qpoly import ModelParameters, QPoly
+from qpaths.paths import DOWN, BoxSpec, enumerate_paths, oracle_partition
+from qpaths.qpoly import QPoly
 
 
 def all_sectors(max_total):
     for total in range(max_total + 1):
         for n in range(total + 1):
             yield n, total - n
+
+
+def points(path):
+    """The lattice points the path visits, origin included."""
+    x, y = path.origin
+    out = [(x, y)]
+    for s in path.steps:
+        x, y = (x + 1, y) if s == DOWN else (x, y + 1)
+        out.append((x, y))
+    return out
 
 
 class TestClosedForm:
@@ -149,9 +158,21 @@ class TestMarkov:
         for t in terms:
             through = QPoly.zero()
             for p in enumerate_paths(BoxSpec.sector(1, 1)):
-                if t.point in set(p.points()):
+                if t.point in points(p):
                     through = through + p.weight()
             assert through == t.left * t.right
+
+    def test_against_path_enumeration(self):
+        # each cut term is the weight of the paths through its point, at every cut
+        for n, m in ((2, 2), (3, 1), (2, 3)):
+            box = BoxSpec.sector(n, m)
+            for z in range(n + m + 1):
+                for t in markov_decompose(box, z):
+                    through = QPoly.zero()
+                    for p in enumerate_paths(box):
+                        if t.point in points(p):
+                            through = through + p.weight()
+                    assert through == t.left * t.right
 
     def test_degenerate_cut(self):
         terms = markov_decompose(BoxSpec.sector(4, 3), 0)
@@ -248,29 +269,6 @@ class TestRatioBound:
     def test_bad_offsets(self):
         with pytest.raises(RangeError):
             ratio_bound_check(2, 2, 3, 0)
-
-
-class TestParameters:
-    def test_report_values(self):
-        report = parameters_roundtrip(ModelParameters(Fraction(1, 2)))
-        assert report["delta"] == pytest.approx(1.25)
-        assert report["beta"] == pytest.approx(2 * math.log(2))
-        assert report["q_squared_vs_exp_minus_beta"] < 1e-15
-        assert report["q_roundtrip_error"] < 1e-12
-
-    def test_explicit_field_formula(self):
-        report = parameters_roundtrip(ModelParameters(0.3))
-        delta = (0.3 + 1 / 0.3) / 2
-        assert report["boundary_field"] == pytest.approx(0.5 * math.sqrt(1 - delta**-2))
-
-    def test_isotropic_flags(self):
-        report = parameters_roundtrip(ModelParameters(0.9999))
-        assert report["delta_excess"] < 1e-7
-        assert report["boundary_field"] < 0.01
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            ModelParameters(Fraction(7, 5))
 
 
 class TestZCache:

@@ -1,7 +1,7 @@
 import pytest
 
 from qpaths.errors import CapExceeded
-from qpaths.paths import BoxSpec, Path, enumerate_paths, oracle_partition
+from qpaths.paths import DOWN, UP, BoxSpec, Path, enumerate_paths, oracle_partition
 from qpaths.qpoly import QPoly
 
 
@@ -9,6 +9,11 @@ def all_sectors(max_total):
     for total in range(max_total + 1):
         for n in range(total + 1):
             yield n, total - n
+
+
+def endpoint(path):
+    """The lattice point the path ends at."""
+    return (path.origin[0] + path.steps.count(DOWN), path.origin[1] + path.steps.count(UP))
 
 
 class TestBoxSpec:
@@ -24,28 +29,6 @@ class TestBoxSpec:
 
 
 class TestPath:
-    def test_endpoint_and_counts(self):
-        p = Path((0, 0), "HVH")
-        assert p.endpoint == (2, 1)
-        assert p.length == 3
-        assert p.down_count == 2
-
-    def test_spin_view_bijection(self):
-        p = Path((0, 0), "HVHHV")
-        assert p.spins() == (1, 0, 1, 1, 0)
-        assert Path.from_spins(p.spins()) == p
-
-    def test_points(self):
-        assert list(Path((1, 0), "HV").points()) == [(1, 0), (2, 0), (2, 1)]
-
-    def test_text_roundtrip(self):
-        p = Path((0, 0), "HVH")
-        assert p.to_text() == "(0,0):HVH"
-        assert Path.from_text("(0,0):HVH") == p
-        assert Path.from_text("(2,3):") == Path((2, 3), "")
-        with pytest.raises(ValueError):
-            Path.from_text("(0,0)HV")
-
     def test_invalid_steps(self):
         for steps in ("HX", "XHV", "HXV", "HVx", "H V", "h"):
             with pytest.raises(ValueError, match="steps must be over"):
@@ -103,7 +86,7 @@ class TestSymmetries:
                 assert p.parity().parity() == p
                 assert p.time_reversed().time_reversed() == p
                 ft = p.parity().time_reversed()
-                assert ft.endpoint == (m, n)
+                assert endpoint(ft) == (m, n)
                 assert ft.area() == p.area()
                 # weights agree up to the endpoint-dependent prefactor
                 assert p.weight().shift(m * (m + 1)) == ft.weight().shift(n * (n + 1))
@@ -112,7 +95,7 @@ class TestSymmetries:
         paths = list(enumerate_paths(BoxSpec.sector(3, 2)))
         images = {p.parity().time_reversed() for p in paths}
         assert len(images) == len(paths)
-        assert all(im.endpoint == (2, 3) for im in images)
+        assert all(endpoint(im) == (2, 3) for im in images)
 
 
 class TestEnumeration:
@@ -127,7 +110,7 @@ class TestEnumeration:
             paths = list(enumerate_paths(box))
             assert len(paths) == box.path_count()
             assert len(set(paths)) == len(paths)
-            assert all(p.endpoint == (n, m) for p in paths)
+            assert all(endpoint(p) == (n, m) for p in paths)
 
     def test_cap_exceeded(self):
         with pytest.raises(CapExceeded):

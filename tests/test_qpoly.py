@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from qpaths.errors import DomainError
 from qpaths.partition import z_closed
-from qpaths.qpoly import ModelParameters, QPoly, QRational
+from qpaths.qpoly import QPoly, QRational
 
 
 def P(pairs):
@@ -207,7 +207,7 @@ class TestSerialization:
     def test_big_coefficients_roundtrip(self):
         p = P({0: 10**40, 3: -(7**30)})
         text = json.dumps(p.to_json_obj())
-        assert QPoly.from_json_obj(json.loads(text)) == p
+        assert json.loads(text) == [[0, str(10**40)], [3, str(-(7**30))]]
 
     @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int digit limit")
     def test_coefficient_past_the_int_digit_limit(self):
@@ -218,13 +218,13 @@ class TestSerialization:
             obj = big.to_json_obj()
         finally:
             sys.set_int_max_str_digits(limit)
-        assert len(obj[1][1]) == 5001
-        assert QPoly.from_json_obj(obj) == big
+        assert obj == [[0, "1"], [2, "-1" + "0" * 4998 + "7"]]
         assert sys.get_int_max_str_digits() == limit
 
     def test_qrational_roundtrip(self):
         r = QRational(P({2: 1}), P({2: 1, 4: 1}))
-        assert QRational.from_json_obj(r.to_json_obj()) == r
+        obj = {"num": [[2, "1"]], "den": [[2, "1"], [4, "1"]]}
+        assert json.loads(json.dumps(r.to_json_obj())) == obj
 
 
 @given(polys, polys, polys)
@@ -260,7 +260,7 @@ def test_exact_ratio_matches_the_per_term_sums(a, b, q):
 
 @given(polys)
 def test_serialization_roundtrip(p):
-    assert QPoly.from_json_obj(json.loads(json.dumps(p.to_json_obj()))) == p
+    assert json.loads(json.dumps(p.to_json_obj())) == [[e, str(c)] for e, c in p.terms()]
 
 
 #: Sparse inputs with odd exponents up to 500 and signed 100-bit coefficients.
@@ -341,7 +341,7 @@ class TestAgainstTheDictOracle:
         p = QPoly(a)
         obj = p.to_json_obj()
         assert obj == [[e, str(c)] for e, c in DictPoly(a).terms()]
-        assert QPoly.from_json_obj(json.loads(json.dumps(obj))) == p
+        assert json.loads(json.dumps(obj)) == obj
 
     @given(sparse, wide_rationals)
     def test_exact_evaluate(self, a, q):
@@ -394,7 +394,7 @@ def test_large_partition_functions_against_the_dict_oracle(n, m, k):
     factor = {0: 1, k: -1}  # Z (1 - q^k) cancels nowhere at the ends
     assert (z * QPoly(factor)).terms() == (want * DictPoly(factor)).terms()
     assert (z - z.shift(k)) == z * QPoly(factor)
-    assert QPoly.from_json_obj(z.to_json_obj()) == z
+    assert z.to_json_obj() == [[e, str(c)] for e, c in want.terms()]
     top = z.max_exponent()  # per-term sum at q = 2/3, scaled by 3^top to stay in integers
     assert z.evaluate(Fraction(2, 3)) == Fraction(
         sum(c * 2**e * 3 ** (top - e) for e, c in want.terms()), 3**top
@@ -410,31 +410,4 @@ def test_wide_sparse_input():
     assert (p - p).is_zero and (p - p) == QPoly.zero()
     assert p.evaluate(Fraction(1, 2)) == 1 + Fraction(1, 2**100000)
     assert p.evaluate(0.5) == 1.0
-    assert QPoly.from_json_obj(p.to_json_obj()) == p
-
-
-class TestModelParameters:
-    def test_exact_delta(self):
-        params = ModelParameters(Fraction(1, 2))
-        assert params.delta == Fraction(5, 4)
-        assert params.beta == pytest.approx(2 * __import__("math").log(2))
-
-    def test_boundary_field_window(self):
-        for q in (Fraction(1, 10), Fraction(1, 2), Fraction(9, 10)):
-            params = ModelParameters(q)
-            assert params.delta > 1
-            assert 0 < params.boundary_field < 0.5
-
-    def test_roundtrip(self):
-        params = ModelParameters(Fraction(3, 10))
-        assert params.q_from_delta() == pytest.approx(0.3, abs=1e-12)
-
-    def test_isotropic_limit(self):
-        params = ModelParameters(0.999)
-        assert params.delta == pytest.approx(1.0, abs=1e-5)
-        assert params.boundary_field == pytest.approx(0.0, abs=0.05)
-
-    @pytest.mark.parametrize("q", [0, 1, Fraction(3, 2), -0.5])
-    def test_domain_error(self, q):
-        with pytest.raises(DomainError):
-            ModelParameters(q)
+    assert p.to_json_obj() == [[0, "1"], [100000, "1"]]
