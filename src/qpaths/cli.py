@@ -1,10 +1,10 @@
 """Command-line front end.
 
-Every subcommand is one ``run(args) -> (code, envelope, table)`` function;
-``_emit`` prints its result.  The envelope {command, config,
-library_version, q_mode, result} is printed as JSON with sorted keys, so
-identical invocations produce byte-identical output; ``--format csv`` prints
-the tabular part of the result as CSV instead.  ``sample`` emits plain
+Every subcommand is one ``run(args) -> (code, config, q_mode, result, table)``
+function; ``_run`` wraps its result in the envelope {command, config,
+library_version, q_mode, result} and ``_emit`` prints it as JSON with sorted
+keys, so identical invocations produce byte-identical output; ``--format
+csv`` prints the tabular part of the result as CSV instead.  ``sample`` emits plain
 path-text lines by default.  q values are rational text ("1/2", "0.5");
 evaluating at the nearest float requires the explicit --float flag.  Exact
 values print in full, whatever their length.  Exit codes: 0 success,
@@ -113,16 +113,6 @@ def _parse_sites(text: str) -> list[tuple[int, str]]:
     return out
 
 
-def _envelope(command: str, config: dict, q_mode: Optional[str], result) -> dict:
-    return {
-        "command": command,
-        "config": config,
-        "library_version": __version__,
-        "q_mode": q_mode,
-        "result": result,
-    }
-
-
 def _emit(args, envelope: dict, table: Optional[tuple[list[str], list[list]]]):
     """Print one result: a compact JSON line for a sweep point, else in ``--format``.
 
@@ -164,7 +154,7 @@ def _run_partition(args) -> tuple:
     terms = poly.to_json_obj()
     result = {"polynomial": terms, "value": None if q is None else poly.evaluate(q)}
     config = {"n": args.n, "m": args.m, "method": method, "eval": args.eval}
-    return 0, _envelope("partition", config, q_mode, result), (["exponent", "coefficient"], terms)
+    return 0, config, q_mode, result, (["exponent", "coefficient"], terms)
 
 
 def _run_correlate(args) -> tuple:
@@ -197,7 +187,7 @@ def _run_correlate(args) -> tuple:
     config = {"n": args.n, "m": args.m, "sites": args.sites, "eval": args.eval, "exact": args.exact}
     header = ["q", "probability", "probability_float", "bound", "bound_float", "holds", "in_regime"]
     rows = [[*c.values(), in_regime] for c in checks]
-    return 0, _envelope("correlate", config, q_mode, result), (header, rows)
+    return 0, config, q_mode, result, (header, rows)
 
 
 def _run_fluctuations(args) -> tuple:
@@ -205,7 +195,7 @@ def _run_fluctuations(args) -> tuple:
     q = _parse_q(args.q, args.float)
     dist = fluctuation_distribution(fq)
     rows = []
-    for l, prob in sorted(dist.items()):
+    for l, prob in dist.items():
         p = prob.evaluate(q)
         tail = TailBound(q, fq.L, abs(l)).value if l != 0 else None
         rows.append({"l": l, "probability": p, "probability_float": float(p), "tail_bound": tail})
@@ -213,7 +203,7 @@ def _run_fluctuations(args) -> tuple:
     config = {"N": args.N, "L": args.L, "q": args.q}
     q_mode = "float" if args.float else "exact"
     table = (["l", "probability", "probability_float", "tail_bound"], [list(r.values()) for r in rows])
-    return 0, _envelope("fluctuations", config, q_mode, result), table
+    return 0, config, q_mode, result, table
 
 
 def _run_sample(args) -> tuple:
@@ -222,7 +212,7 @@ def _run_sample(args) -> tuple:
     sampler = PathSampler(args.n, args.m, q, args.seed)
     lines = [sampler.draw().to_text() for _ in range(args.count)]
     config = {"n": args.n, "m": args.m, "q": args.q, "count": args.count, "seed": args.seed}
-    return 0, _envelope("sample", config, "exact", {"paths": lines}), None
+    return 0, config, "exact", {"paths": lines}, None
 
 
 def _run_reduce2d(args) -> tuple:
@@ -243,7 +233,7 @@ def _run_reduce2d(args) -> tuple:
     header = ["k", "exponent", "coefficient"]
     rows = [[t["k"], e, c] for t in terms for e, c in t["polynomial"]]
     code = 0 if result.get("check_passed", True) else 1
-    return code, _envelope("reduce2d", config, None, result), (header, rows)
+    return code, config, None, result, (header, rows)
 
 
 def _run_verify(args) -> tuple:
@@ -273,7 +263,7 @@ def _run_verify(args) -> tuple:
         [r["name"], r["instances"], r["failure_count"], r["informational"], r["failure_count"] == 0]
         for r in result["records"]
     ]
-    return (0 if report.passed else 1), _envelope("verify", config, "exact", result), (header, rows)
+    return (0 if report.passed else 1), config, "exact", result, (header, rows)
 
 
 # -- sweep runner ----------------------------------------------------------------
@@ -315,7 +305,9 @@ def _sweep_file(argv: list[str]) -> Optional[str]:
 
 
 def _run(args) -> int:
-    code, envelope, table = args.run(args)
+    code, config, q_mode, result, table = args.run(args)
+    envelope = {"command": args.subcommand, "config": config, "library_version": __version__,
+                "q_mode": q_mode, "result": result}
     _emit(args, envelope, table)
     return code
 
@@ -429,8 +421,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=100, help="randomized instances per identity")
     p.add_argument(
         "--max-chain", type=int, default=8, dest="max_chain",
-        help="largest chain n+m of the bound suite; the fluctuation suite checks "
-        "N up to min(max_chain, 8)*2, so at most 16",
+        help="largest chain n+m of the bound suite, which checks 3^min(n,m)-1 joint "
+        "spin queries per sector, so its time grows 2-3x per +2; the fluctuation suite "
+        "checks N up to min(max_chain, 8)*2, so at most 16",
     )
     p.add_argument("--q-grid", default=",".join(map(str, DEFAULT_Q_GRID)), dest="q_grid")
     p.add_argument("--seed", type=int, default=0)

@@ -36,6 +36,10 @@ SPIN_UP = "up"
 #: Series terms of exp summed by ``TailBound.rational_lower``.
 _TAIL_SERIES_TERMS = 16
 
+#: Largest size, in bits, of a ``PathSampler``'s power tables (about 1 GiB),
+#: which hold about (n + m)^2 * bit_length(b^2) bits at q = a/b.
+_SAMPLER_TABLE_BITS = 2**33
+
 
 @dataclass(frozen=True)
 class CorrelationQuery:
@@ -188,13 +192,8 @@ def exp_bound(query: CorrelationQuery, q: Scalar) -> Scalar:
 
 
 def site_bound_regime(n: int, m: int, x: int) -> bool:
-    """Where the single-site bounds are claimed: x >= n, x >= m."""
-    return x >= n and x >= m and x <= n + m
-
-
-def pair_bound_regime(n: int, m: int, x: int) -> bool:
-    """Where the adjacent-pair bound is claimed: x >= n, x >= m, x < n + m."""
-    return x >= n and x >= m and x < n + m
+    """Where the single-site and adjacent-pair bounds are claimed: x >= n, x >= m."""
+    return x >= n and x >= m
 
 
 def multipoint_bound_regime(query: CorrelationQuery) -> bool:
@@ -236,8 +235,8 @@ def fluctuation_distribution(
     With d down spins in the window t1+1..t1+L (t1 = (N-L)/2), F = L/2 - d
     and num_d = q^(2 t1 d) Z(d, L-d) f_(n-d): f, the weight of the sites
     outside, is the chain's row Z(j, N-j) deflated by the window's sites
-    (``_deflate``).  Covers every integer value in [-L/2, L/2]; impossible
-    values get an exact zero numerator.
+    (``_deflate``).  Covers every integer value in [-L/2, L/2], in ascending
+    order; impossible values get an exact zero numerator.
     """
     n = fq.N // 2
     t1 = (fq.N - fq.L) // 2
@@ -246,10 +245,9 @@ def fluctuation_distribution(
     row = z_row(fq.N, n, cache)
     outside = _deflate(row, range(t1 + 1, t1 + fq.L + 1), k)
     window = z_row(fq.L, min(fq.L, n), cache)
-    dist = {fq.L // 2 - d: QRational(QPoly.zero(), row[n]) for d in range(fq.L + 1)}
-    for d in range(n - k, len(window)):
-        dist[fq.L // 2 - d] = QRational((window[d] * outside[n - d]).shift(2 * t1 * d), row[n])
-    return dict(sorted(dist.items()))
+    nums = {d: (window[d] * outside[n - d]).shift(2 * t1 * d) for d in range(n - k, len(window))}
+    zero = QPoly.zero()
+    return {fq.L // 2 - d: QRational(nums.get(d, zero), row[n]) for d in range(fq.L, -1, -1)}
 
 
 @dataclass(frozen=True)
@@ -307,29 +305,19 @@ class TailBound:
 # -- exact sampling -------------------------------------------------------------
 
 
-_BERNOULLI_BITS = 256
-
-
 def _bernoulli_exact(rng: random.Random, num: int, den: int) -> bool:
-    """Exact Bernoulli(num/den) draw by lazy binary-digit comparison, den > 0.
+    """Exact Bernoulli(num/den) draw, 0 < num < den, by lazy binary-digit comparison.
 
-    Compares a uniform bit stream with the binary expansion of num/den,
-    consuming an expected two bits.  The digits depend only on the value of
-    num/den, not on how it is written, so the pair need not be reduced.  The
-    cutoff at ``_BERNOULLI_BITS`` bits bounds the resolution at 2^-256, far
-    below any statistical test's sensitivity.
+    Reads uniform bits until the first that differs from its digit of num/den
+    (an expected two bits, and a finite number with probability one), so the
+    draw is exact.  The digits depend only on the value of num/den, so the
+    pair need not be reduced.
     """
-    if num <= 0:
-        return False
-    if num >= den:
-        return True
-    for _ in range(_BERNOULLI_BITS):
-        num *= 2
-        digit, num = divmod(num, den)
+    while True:
+        digit, num = divmod(2 * num, den)
         bit = rng.getrandbits(1)
         if bit != digit:
             return bit < digit
-    return False
 
 
 class PathSampler:
@@ -342,10 +330,11 @@ class PathSampler:
     is (1 - q^(2j)) / (1 - q^(2(i+j))), so no partition function is built.
     With q = a/b, A = a^2 and B = b^2 it is the integer ratio
     B^i (B^j - A^j) / (B^(i+j) - A^(i+j)), read from per-sampler tables of
-    B^k and B^k - A^k for k <= n + m.  Thresholds are exact and compared
-    against a deterministic seeded bit stream, so the target distribution is
-    exact and runs are reproducible.  Each sampler owns its random stream;
-    concurrent sampling needs independent seeds.
+    B^k and B^k - A^k for k <= n + m; tables past ``_SAMPLER_TABLE_BITS``
+    raise MemoryError before they are built.  Thresholds are exact and
+    compared against a deterministic seeded bit stream, so the target
+    distribution is exact and runs are reproducible.  Each sampler owns its
+    random stream; concurrent sampling needs independent seeds.
     """
 
     def __init__(self, n: int, m: int, q: Fraction, seed: int):
@@ -354,6 +343,9 @@ class PathSampler:
         q = Fraction(q)
         if not 0 < q < 1:
             raise DomainError(f"q must lie strictly in (0, 1), got {q}")
+        table_bits = (n + m) ** 2 * (q.denominator**2).bit_length()
+        if table_bits > _SAMPLER_TABLE_BITS:
+            raise MemoryError(f"sampler tables for n + m = {n + m} need ~{table_bits} bits")
         self.n = n
         self.m = m
         self.q = q

@@ -198,12 +198,6 @@ def markov_decompose(box: BoxSpec, z: int, cache: Optional[ZCache] = None) -> li
     return terms
 
 
-class RatioBoundResult(NamedTuple):
-    lhs: QPoly
-    rhs: QPoly
-    holds_at: list
-
-
 def ratio_bound_check(
     n: int,
     m: int,
@@ -211,17 +205,16 @@ def ratio_bound_check(
     w: int,
     q_grid: Sequence[Fraction] = DEFAULT_Q_GRID,
     cache: Optional[ZCache] = None,
-) -> RatioBoundResult:
-    """Check Z(n-v, m-w) <= q^(-2nv + v(v-1)) * Z(n, m) on an exact q grid.
+) -> list[Fraction]:
+    """The q of an exact grid at which Z(n-v, m-w) <= q^(-2nv + v(v-1)) * Z(n, m).
 
     Both sides are cleared of negative powers first:
     lhs = q^(2nv - v(v-1)) * Z(n-v, m-w), rhs = Z(n, m) > 0, so lhs/rhs <= 1
-    decides each q.  Violations are reported in ``holds_at``, never raised.
+    decides each q.  Violations are left out of the list, never raised.
     """
     if not (0 <= v <= n and 0 <= w <= m):
         raise RangeError(f"need 0 <= v <= n and 0 <= w <= m, got v={v}, w={w}")
     lhs = z_cached(n - v, m - w, cache).shift(2 * n * v - v * (v - 1))
     rhs = z_cached(n, m, cache)
     ratio = QRational(lhs, rhs)
-    holds_at = [q for q in q_grid if ratio.evaluate(q) <= 1]
-    return RatioBoundResult(lhs, rhs, holds_at)
+    return [q for q in q_grid if ratio.evaluate(q) <= 1]

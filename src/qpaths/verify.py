@@ -28,7 +28,6 @@ from .correlations import (
     fluctuation_distribution,
     multipoint_bound_regime,
     multipoint_prob,
-    pair_bound_regime,
     pair_down_up_bound,
     pair_down_up_prob,
     site_bound_regime,
@@ -311,18 +310,18 @@ def run_bound_suite(
     q_grid = [Fraction(q) for q in q_grid]
     report = VerificationReport()
 
-    # (name, detail, probability, bound, regime, sites of an (n, m) chain); built per
-    # call, so names rebound on this module (by a tracer) are the ones called
+    # (name, detail, probability, bound, sites of an (n, m) chain); built per call,
+    # so names rebound on this module (by a tracer) are the ones called
     site_bounds = (
         ("down-spin-bound", "P(down at x) <= q^(2(x-n))(1-q^(2n))/(1-q^(2(n+m))) for x >= n, m",
-         spin_down_prob, spin_down_bound, site_bound_regime, lambda n, m: range(1, n + m + 1)),
+         spin_down_prob, spin_down_bound, lambda n, m: range(1, n + m + 1)),
         ("up-spin-bound", "P(up at x) <= (1-q^(2m))/(1-q^(2(n+m))) for x >= n, m",
-         spin_up_prob, spin_up_bound, site_bound_regime, lambda n, m: range(1, n + m + 1)),
+         spin_up_prob, spin_up_bound, lambda n, m: range(1, n + m + 1)),
         ("adjacent-pair-bound", "P(down at x, up at x+1) <= q^(2(x-n)) (1-q^(2m))/(1-q^(2n)) "
          "(1-q^(2L))/(1-q^(2(L-1))) for x >= n, m", pair_down_up_prob, pair_down_up_bound,
-         pair_bound_regime, lambda n, m: range(1, n + m) if n and m else ()),
+         lambda n, m: range(1, n + m) if n and m else ()),
     )
-    for name, detail, prob, bound, regime, sites_of in site_bounds:
+    for name, detail, prob, bound, sites_of in site_bounds:
         hard = report.record(name, detail)
         out = report.record(
             name + "-out-of-regime", detail + " (outside x >= n, m)", informational=True
@@ -330,7 +329,7 @@ def run_bound_suite(
         for n, m in _sectors(max_chain):
             for x in sites_of(n, m):
                 _check_bound(
-                    hard if regime(n, m, x) else out, prob(n, m, x, cache),
+                    hard if site_bound_regime(n, m, x) else out, prob(n, m, x, cache),
                     partial(bound, n, m, x), q_grid, {"n": n, "m": m, "x": x},
                 )
 
@@ -380,10 +379,8 @@ def run_bound_suite(
     for n, m in _sectors(max_chain):
         for v in range(n + 1):
             for w in range(m + 1):
-                result = ratio_bound_check(n, m, v, w, q_grid, cache)
-                ratio.check(
-                    len(result.holds_at) == len(q_grid), {"n": n, "m": m, "v": v, "w": w}
-                )
+                holds_at = ratio_bound_check(n, m, v, w, q_grid, cache)
+                ratio.check(len(holds_at) == len(q_grid), {"n": n, "m": m, "v": v, "w": w})
 
     return report
 

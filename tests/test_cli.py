@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -15,6 +16,7 @@ from qpaths.cli import main
 from qpaths.partition import ZCache, z_closed
 
 DATA = Path(__file__).parent / "data"
+README = Path(__file__).parents[1] / "README.md"
 # A ``python -m qpaths`` child does not inherit pytest's ``pythonpath``.
 CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
     filter(None, [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH")])
@@ -173,6 +175,16 @@ def test_bad_rational_or_sweep_file_is_a_diagnostic(argv, capsys):
 def test_diagnostic_names_the_precondition(argv, message, capsys):
     assert main(argv) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n, m", [(10**20, 0), (100_000, 100_000)])
+def test_sample_refuses_tables_too_large_for_this_machine(n, m, capsys):
+    # the sampler's power tables would need ~L^2 bits; refused before any is built
+    argv = ["sample", "--n", str(n), "--m", str(m), "--q", "1/2", "--seed", "0"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the request is too large for this machine\n"
 
 
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int digit limit")
@@ -639,3 +651,26 @@ def test_fuzzed_argv_exits_0_1_or_2(argv):
     assert code in (0, 1, 2)
     if code == 2:
         assert err.getvalue()
+
+
+def readme_block(heading, language):
+    """The first ``language`` code block after ``heading`` in the README."""
+    section = README.read_text(encoding="utf-8").split(heading + "\n", 1)[1]
+    return section.split(f"```{language}\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_command_line_examples_run(capsys):
+    commands = [shlex.split(line, comments=True)
+                for line in readme_block("## Command line", "sh").splitlines()]
+    commands = [argv for argv in commands if argv]
+    assert commands and all(argv[0] == "qpaths" for argv in commands)
+    for argv in commands:
+        assert main(argv[1:]) == 0, argv
+        assert capsys.readouterr().err == "", argv
+
+
+def test_readme_library_example_values():
+    namespace = {}
+    exec(readme_block("## Library example", "python"), namespace)
+    assert namespace["value"] == Fraction(21, 1024)
+    assert namespace["prob"].evaluate(Fraction(1, 2)) == Fraction(1, 357)

@@ -16,12 +16,12 @@ from qpaths.correlations import (
     FluctuationQuery,
     PathSampler,
     TailBound,
+    _bernoulli_exact,
     _deflate,
     exp_bound,
     fluctuation_distribution,
     multipoint_bound_regime,
     multipoint_prob,
-    pair_bound_regime,
     pair_down_up_bound,
     pair_down_up_prob,
     site_bound_regime,
@@ -136,7 +136,7 @@ class TestAdjacentPair:
             if n < 1 or m < 1:
                 continue
             for x in range(1, n + m):
-                if not pair_bound_regime(n, m, x):
+                if not site_bound_regime(n, m, x):
                     continue
                 pair = pair_down_up_prob(n, m, x)
                 for q in Q_GRID:
@@ -606,6 +606,19 @@ def test_integer_thresholds_draw_the_fraction_samplers_paths(n, m, q, seed, draw
 
 def test_integer_thresholds_at_200x200():
     assert_same_draws(200, 200, Fraction(3, 4), 2024, 5)
+
+
+class ZeroBits:
+    """An RNG stub whose bit stream is all zeros: the uniform value 0."""
+
+    def getrandbits(self, k):
+        return 0
+
+
+def test_bernoulli_draw_is_exact_past_256_digits():
+    # 1/2^300 has 299 zero digits before its first one, so only a comparison
+    # that reads on until the first differing bit sees 0 < 2^-300
+    assert _bernoulli_exact(ZeroBits(), 1, 2**300)
 
 
 def exact_at(poly, q):

@@ -249,22 +249,17 @@ class TestIdentities:
 
 class TestRatioBound:
     def test_equality_at_zero_offsets(self):
-        result = ratio_bound_check(3, 3, 0, 0)
-        assert result.lhs == result.rhs
-        assert len(result.holds_at) == 3
+        assert ratio_bound_check(3, 3, 0, 0) == list(partition.DEFAULT_Q_GRID)
 
     def test_holds_at_named_points(self):
-        result = ratio_bound_check(3, 3, 1, 1, q_grid=[Fraction(1, 2)])
-        assert result.holds_at == [Fraction(1, 2)]
-        result = ratio_bound_check(4, 2, 2, 0, q_grid=[Fraction(3, 4)])
-        assert result.holds_at == [Fraction(3, 4)]
+        assert ratio_bound_check(3, 3, 1, 1, q_grid=[Fraction(1, 2)]) == [Fraction(1, 2)]
+        assert ratio_bound_check(4, 2, 2, 0, q_grid=[Fraction(3, 4)]) == [Fraction(3, 4)]
 
     def test_full_scan(self):
         for n, m in all_sectors(7):
             for v in range(n + 1):
                 for w in range(m + 1):
-                    result = ratio_bound_check(n, m, v, w)
-                    assert len(result.holds_at) == 3, (n, m, v, w)
+                    assert len(ratio_bound_check(n, m, v, w)) == 3, (n, m, v, w)
 
     def test_bad_offsets(self):
         with pytest.raises(RangeError):
