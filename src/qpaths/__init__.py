@@ -10,10 +10,9 @@ from .qpoly import QPoly, QRational
 from .paths import BoxSpec, Path, enumerate_paths, oracle_partition
 from .partition import (
     SectorSpec,
-    ZCache,
     markov_decompose,
+    memo,
     ratio_bound_check,
-    z_cached,
     z_closed,
     z_generalized,
     z_recursive,
@@ -54,12 +53,12 @@ __all__ = [
     "SectorSpec",
     "TailBound",
     "VerificationReport",
-    "ZCache",
     "compositions",
     "enumerate_paths",
     "exp_bound",
     "fluctuation_distribution",
     "markov_decompose",
+    "memo",
     "multipoint_prob",
     "oracle_partition",
     "pair_down_up_bound",
@@ -73,7 +72,6 @@ __all__ = [
     "z2d_oracle",
     "z2d_product",
     "z2d_reduction",
-    "z_cached",
     "z_closed",
     "z_generalized",
     "z_recursive",

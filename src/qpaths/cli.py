@@ -328,7 +328,9 @@ def _check_swept_flags(parser: argparse.ArgumentParser, argv: list[str], grid: d
 def _run_sweep(parser: argparse.ArgumentParser, argv: list[str], path: str) -> int:
     """Run ``argv`` once per grid point, the point's flags appended (later flags win).
 
-    Every point is parsed before any runs, so a bad value prints no output.
+    Every point is parsed before any runs, so a bad value found while parsing
+    prints no output; a point that fails only when it runs leaves the output of
+    the points before it printed.
     """
     grid = _read_sweep_file(path)
     _check_swept_flags(parser, argv, grid)

@@ -23,10 +23,10 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .errors import DomainError, InconsistentQuery, RangeError
-from .partition import SectorSpec, ZCache, z_row
+from .partition import SectorSpec, memo, z_row
 from .paths import DOWN, UP, Path
 from .qpoly import QPoly, QRational, Scalar
 
@@ -92,33 +92,31 @@ def _deflate(row: list[QPoly], sites: Iterable[int], k: int) -> list[QPoly]:
     return out
 
 
-def _constrained_prob(
-    n: int, m: int, sites: Sequence[int], downs: Sequence[int], cache: Optional[ZCache]
-) -> QRational:
+def _constrained_prob(n: int, m: int, sites: Sequence[int], downs: Sequence[int]) -> QRational:
     """Probability that the spins at ``sites`` are down exactly at ``downs``.
 
     With v = |downs|, the numerator is q^(2 sum(downs)) times entry n-v of
     the row Z(j, L-j), j <= n, deflated by the sites (``_deflate``), or an
     exact zero when the counts do not fit; the row's Z(n, m) is the denominator.
     """
-    row = z_row(n + m, n, cache)
+    row = z_row(n + m, n)
     k = n - len(downs)
     num = _deflate(row, sites, k)[k].shift(2 * sum(downs)) if k >= 0 else QPoly.zero()
     return QRational(num, row[n])
 
 
-def spin_down_prob(n: int, m: int, x: int, cache: Optional[ZCache] = None) -> QRational:
+def spin_down_prob(n: int, m: int, x: int) -> QRational:
     """Exact probability that the spin at site x is down."""
     if not 1 <= x <= n + m:
         raise RangeError(f"site {x} outside [1, {n + m}]")
-    return _constrained_prob(n, m, (x,), (x,), cache)
+    return _constrained_prob(n, m, (x,), (x,))
 
 
-def spin_up_prob(n: int, m: int, x: int, cache: Optional[ZCache] = None) -> QRational:
+def spin_up_prob(n: int, m: int, x: int) -> QRational:
     """Exact probability that the spin at site x is up."""
     if not 1 <= x <= n + m:
         raise RangeError(f"site {x} outside [1, {n + m}]")
-    return _constrained_prob(n, m, (x,), (), cache)
+    return _constrained_prob(n, m, (x,), ())
 
 
 def spin_down_bound(n: int, m: int, x: int, q: Scalar) -> Scalar:
@@ -138,11 +136,11 @@ def spin_up_bound(n: int, m: int, x: int, q: Scalar) -> Scalar:
     return (1 - q ** (2 * m)) / (1 - q ** (2 * (n + m)))
 
 
-def pair_down_up_prob(n: int, m: int, x: int, cache: Optional[ZCache] = None) -> QRational:
+def pair_down_up_prob(n: int, m: int, x: int) -> QRational:
     """Exact probability of a down spin at x followed by an up spin at x+1."""
     if not 1 <= x < n + m:
         raise RangeError(f"pair site {x} outside [1, {n + m - 1}]")
-    return _constrained_prob(n, m, (x, x + 1), (x,), cache)
+    return _constrained_prob(n, m, (x, x + 1), (x,))
 
 
 def pair_down_up_bound(n: int, m: int, x: int, q: Scalar) -> Scalar:
@@ -163,7 +161,7 @@ def pair_down_up_bound(n: int, m: int, x: int, q: Scalar) -> Scalar:
 # -- multi-point probabilities ------------------------------------------------
 
 
-def multipoint_prob(query: CorrelationQuery, cache: Optional[ZCache] = None) -> QRational:
+def multipoint_prob(query: CorrelationQuery) -> QRational:
     """Exact joint probability of the queried spin assignment.
 
     Deflates the elementary-symmetric generating function by the factor of
@@ -178,7 +176,7 @@ def multipoint_prob(query: CorrelationQuery, cache: Optional[ZCache] = None) -> 
         raise InconsistentQuery(
             f"{len(query.sites) - query.down_count} up spins requested but sector has m={m}"
         )
-    return _constrained_prob(n, m, query.sites, query.downs, cache)
+    return _constrained_prob(n, m, query.sites, query.downs)
 
 
 def exp_bound(query: CorrelationQuery, q: Scalar) -> Scalar:
@@ -227,9 +225,8 @@ class FluctuationQuery:
         return ((self.N - self.L) // 2 + 1, (self.N + self.L) // 2)
 
 
-def fluctuation_distribution(
-    fq: FluctuationQuery, cache: Optional[ZCache] = None
-) -> dict[int, QRational]:
+@memo()  # at L = N the two rows are one
+def fluctuation_distribution(fq: FluctuationQuery) -> dict[int, QRational]:
     """Exact distribution of the window spin F = (#up - #down)/2.
 
     With d down spins in the window t1+1..t1+L (t1 = (N-L)/2), F = L/2 - d
@@ -241,10 +238,9 @@ def fluctuation_distribution(
     n = fq.N // 2
     t1 = (fq.N - fq.L) // 2
     k = min(n, fq.N - fq.L)
-    cache = ZCache() if cache is None else cache  # at L = N the two rows are one
-    row = z_row(fq.N, n, cache)
+    row = z_row(fq.N, n)
     outside = _deflate(row, range(t1 + 1, t1 + fq.L + 1), k)
-    window = z_row(fq.L, min(fq.L, n), cache)
+    window = z_row(fq.L, min(fq.L, n))
     nums = {d: (window[d] * outside[n - d]).shift(2 * t1 * d) for d in range(n - k, len(window))}
     zero = QPoly.zero()
     return {fq.L // 2 - d: QRational(nums.get(d, zero), row[n]) for d in range(fq.L, -1, -1)}

@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import itertools
 import threading
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import RangeError
 from .paths import BoxSpec
@@ -69,6 +71,22 @@ class ZCache:
             return self._data.setdefault(key, value)
 
 
+_MEMO: ContextVar[Optional[ZCache]] = ContextVar("qpaths_memo", default=None)
+
+
+@contextmanager
+def memo() -> Iterator[ZCache]:
+    """Memoise Z in a ``with`` block, or in a call as ``@memo()``, reusing a memo
+    already open.  ``z_closed`` and ``z_row`` read it; it is a context variable,
+    so a thread started in the block sees none."""
+    open_memo = _MEMO.get()
+    token = _MEMO.set(ZCache() if open_memo is None else open_memo)
+    try:
+        yield _MEMO.get()
+    finally:
+        _MEMO.reset(token)
+
+
 def _mul_div(coeffs: list[int], k: int, i: int) -> list[int]:
     """Dense coeffs * (1 - p^k) / (1 - p^i), with the division checked exact.
 
@@ -107,22 +125,28 @@ def _z_from_gauss(n: int, coeffs: list[int]) -> QPoly:
 
 
 def z_closed(n: int, m: int) -> QPoly:
-    """Closed-form Z(n, m) = q^(n(n+1)) * [n+m, n] in q^2, exactly."""
+    """Closed-form Z(n, m) = q^(n(n+1)) * [n+m, n] in q^2, exactly, via an open ``memo``."""
     if n < 0 or m < 0:
         raise ValueError(f"negative sector ({n},{m})")
-    return _z_from_gauss(n, _gauss_coeffs(min(n, m), max(n, m)))
+    cache = _MEMO.get()
+
+    def compute() -> QPoly:
+        return _z_from_gauss(n, _gauss_coeffs(min(n, m), max(n, m)))
+
+    return compute() if cache is None else cache.get_or_compute((n, m), compute)
 
 
-def z_row(length: int, k: int, cache: Optional[ZCache] = None) -> list[QPoly]:
+def z_row(length: int, k: int) -> list[QPoly]:
     """[Z(0, L), Z(1, L-1), ..., Z(k, L-k)] for L = length, in one pass.
 
     Walks the row of Gaussian binomials [L, j] = [L, j-1] (1 - p^(L-j+1)) /
-    (1 - p^j), p = q^2, and publishes each Z(j, L-j) through the cache.  Only
-    the entries up to the last one missing from the cache are computed.  With
-    no cache given, a fresh one lives for this call only.
+    (1 - p^j), p = q^2, and publishes each Z(j, L-j) through the open
+    ``memo``.  Only the entries up to the last one missing from it are
+    computed.  With no memo open, a fresh one lives for this call only.
     """
     if not 0 <= k <= length:
         raise ValueError(f"need 0 <= k <= L, got k={k}, L={length}")
+    cache = _MEMO.get()
     cache = ZCache() if cache is None else cache
     done, coeffs = 0, [1]  # coeffs is [L, done], dense in p
 
@@ -136,17 +160,12 @@ def z_row(length: int, k: int, cache: Optional[ZCache] = None) -> list[QPoly]:
     return [cache.get_or_compute((j, length - j), lambda j=j: compute(j)) for j in range(k + 1)]
 
 
-def z_cached(n: int, m: int, cache: Optional[ZCache] = None) -> QPoly:
-    """Z(n, m) through the cache, or straight from ``z_closed`` when none is given."""
-    return z_closed(n, m) if cache is None else cache.get_or_compute((n, m), lambda: z_closed(n, m))
-
-
 def z_recursive(n: int, m: int) -> QPoly:
     """Z(n, m) by the corner recursion Z(n,m) = Z(n,m-1) + q^(2(n+m)) Z(n-1,m).
 
     Base cases: Z(0, m) = 1 and Z(n, 0) = q^(n(n+1)).  Fills bottom-up to
     avoid deep recursion; the value is identical to ``z_closed``.  This is
-    the independent check on the closed form, so it reads and fills no cache.
+    the independent check on the closed form, so it reads and fills no memo.
     """
     if n < 0 or m < 0:
         raise ValueError(f"negative sector ({n},{m})")
@@ -163,7 +182,7 @@ def z_recursive(n: int, m: int) -> QPoly:
     return table[(n, m)]
 
 
-def z_generalized(box: BoxSpec, cache: Optional[ZCache] = None) -> QPoly:
+def z_generalized(box: BoxSpec) -> QPoly:
     """Boxed partition function, reduced to a shifted canonical one.
 
     A translation of the whole box to the origin multiplies every path weight
@@ -171,7 +190,7 @@ def z_generalized(box: BoxSpec, cache: Optional[ZCache] = None) -> QPoly:
     Z(n0,m0; n,m) = q^(2(n0+m0)(n-n0)) * Z(n-n0, m-m0).
     """
     shift = 2 * (box.n0 + box.m0) * box.width
-    return z_cached(box.width, box.height, cache).shift(shift)
+    return z_closed(box.width, box.height).shift(shift)
 
 
 class MarkovTerm(NamedTuple):
@@ -180,7 +199,7 @@ class MarkovTerm(NamedTuple):
     right: QPoly
 
 
-def markov_decompose(box: BoxSpec, z: int, cache: Optional[ZCache] = None) -> list[MarkovTerm]:
+def markov_decompose(box: BoxSpec, z: int) -> list[MarkovTerm]:
     """Factor the box over the anti-diagonal cut x + y = z.
 
     Every path crosses the cut at exactly one lattice point, so
@@ -192,19 +211,14 @@ def markov_decompose(box: BoxSpec, z: int, cache: Optional[ZCache] = None) -> li
     terms = []
     for x in range(max(box.n0, z - box.m), min(box.n, z - box.m0) + 1):
         y = z - x
-        left = z_generalized(BoxSpec(box.n0, box.m0, x, y), cache)
-        right = z_generalized(BoxSpec(x, y, box.n, box.m), cache)
+        left = z_generalized(BoxSpec(box.n0, box.m0, x, y))
+        right = z_generalized(BoxSpec(x, y, box.n, box.m))
         terms.append(MarkovTerm((x, y), left, right))
     return terms
 
 
 def ratio_bound_check(
-    n: int,
-    m: int,
-    v: int,
-    w: int,
-    q_grid: Sequence[Fraction] = DEFAULT_Q_GRID,
-    cache: Optional[ZCache] = None,
+    n: int, m: int, v: int, w: int, q_grid: Sequence[Fraction] = DEFAULT_Q_GRID
 ) -> list[Fraction]:
     """The q of an exact grid at which Z(n-v, m-w) <= q^(-2nv + v(v-1)) * Z(n, m).
 
@@ -214,7 +228,7 @@ def ratio_bound_check(
     """
     if not (0 <= v <= n and 0 <= w <= m):
         raise RangeError(f"need 0 <= v <= n and 0 <= w <= m, got v={v}, w={w}")
-    lhs = z_cached(n - v, m - w, cache).shift(2 * n * v - v * (v - 1))
-    rhs = z_cached(n, m, cache)
+    lhs = z_closed(n - v, m - w).shift(2 * n * v - v * (v - 1))
+    rhs = z_closed(n, m)
     ratio = QRational(lhs, rhs)
     return [q for q in q_grid if ratio.evaluate(q) <= 1]

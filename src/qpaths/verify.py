@@ -39,10 +39,10 @@ from .correlations import (
 from .partition import (
     DEFAULT_Q_GRID,
     SectorSpec,
-    ZCache,
     markov_decompose,
+    memo,
     ratio_bound_check,
-    z_cached,
+    z_closed,
     z_generalized,
 )
 from .paths import BoxSpec, check_path_cap, enumerate_paths, oracle_partition
@@ -122,6 +122,7 @@ def _random_box(rng: random.Random, max_total: int) -> BoxSpec:
     return BoxSpec(rng.randint(0, n), rng.randint(0, m), n, m)
 
 
+@memo()
 def run_identity_suite(
     max_nm: int = 12,
     enumeration_limit: int = 10,
@@ -136,7 +137,6 @@ def run_identity_suite(
     for n, m in _sectors(enumeration_limit):
         check_path_cap(BoxSpec.sector(n, m))
     rng = random.Random(seed)
-    cache = ZCache()
     report = VerificationReport()
 
     closed_enum = report.record(
@@ -144,7 +144,7 @@ def run_identity_suite(
     )
     for n, m in _sectors(enumeration_limit):
         closed_enum.check(
-            z_cached(n, m, cache) == oracle_partition(BoxSpec.sector(n, m)), {"n": n, "m": m}
+            z_closed(n, m) == oracle_partition(BoxSpec.sector(n, m)), {"n": n, "m": m}
         )
 
     box_enum = report.record(
@@ -154,7 +154,7 @@ def run_identity_suite(
     for _ in range(random_instances):
         box = _random_box(rng, enumeration_limit)
         box_enum.check(
-            z_generalized(box, cache) == oracle_partition(box),
+            z_generalized(box) == oracle_partition(box),
             {"box": (box.n0, box.m0, box.n, box.m)},
         )
 
@@ -178,21 +178,19 @@ def run_identity_suite(
     )
     for n in range(1, max_nm + 1):
         for m in range(1, max_nm + 1):
-            z = z_cached(n, m, cache)
-            left = z_cached(n, m - 1, cache)
-            up = z_cached(n - 1, m, cache)
+            z = z_closed(n, m)
+            left = z_closed(n, m - 1)
+            up = z_closed(n - 1, m)
             pascal_upper.check(z == left + up.shift(2 * (n + m)), {"n": n, "m": m})
             pascal_lower.check(z == (up + left).shift(2 * n), {"n": n, "m": m})
-            split = z_generalized(BoxSpec(1, 0, n, m), cache).shift(2) + z_generalized(
-                BoxSpec(0, 1, n, m), cache
-            )
+            split = z_generalized(BoxSpec(1, 0, n, m)).shift(2) + z_generalized(BoxSpec(0, 1, n, m))
             corner_split.check(z == split, {"n": n, "m": m})
             # p (1 - q^k) is p - p.shift(k)
             ell, zn = n + m, z - z.shift(2 * n)
             horiz = (up - up.shift(2 * ell)).shift(2 * n) == zn
             vert = left - left.shift(2 * ell) == z - z.shift(2 * m)
             neighbor.check(horiz and vert, {"n": n, "m": m})
-            corner = z_cached(n - 1, m - 1, cache)
+            corner = z_closed(n - 1, m - 1)
             corner = corner - corner.shift(2 * (ell - 1))
             diag = (corner - corner.shift(2 * ell)).shift(2 * n) == zn - zn.shift(2 * m)
             diagonal.check(diag, {"n": n, "m": m})
@@ -205,11 +203,9 @@ def run_identity_suite(
         box = _random_box(rng, max_nm)
         z = rng.randint(box.n0 + box.m0, box.n + box.m)
         total = QPoly.zero()
-        for term in markov_decompose(box, z, cache):
+        for term in markov_decompose(box, z):
             total = total + term.left * term.right
-        markov.check(
-            total == z_generalized(box, cache), {"box": (box.n0, box.m0, box.n, box.m), "z": z}
-        )
+        markov.check(total == z_generalized(box), {"box": (box.n0, box.m0, box.n, box.m), "z": z})
 
     translation = report.record(
         "translation-shift",
@@ -221,8 +217,7 @@ def run_identity_suite(
         y = rng.randint(0, box.m0)
         shifted = BoxSpec(box.n0 - x, box.m0 - y, box.n - x, box.m - y)
         translation.check(
-            z_generalized(box, cache)
-            == z_generalized(shifted, cache).shift(2 * (x + y) * box.width),
+            z_generalized(box) == z_generalized(shifted).shift(2 * (x + y) * box.width),
             {"box": (box.n0, box.m0, box.n, box.m), "shift": (x, y)},
         )
 
@@ -234,9 +229,9 @@ def run_identity_suite(
         "Z(n,m) has positive coefficients, even exponents in [n(n+1), n(n+1)+2nm]",
     )
     for n, m in _sectors(max_nm):
-        z = z_cached(n, m, cache)
+        z = z_closed(n, m)
         transpose.check(
-            z.shift(m * (m + 1)) == z_cached(m, n, cache).shift(n * (n + 1)), {"n": n, "m": m}
+            z.shift(m * (m + 1)) == z_closed(m, n).shift(n * (n + 1)), {"n": n, "m": m}
         )
         ok = (
             z.all_coefficients_positive()
@@ -252,8 +247,8 @@ def run_identity_suite(
     )
     for _ in range(random_instances):
         box = _random_box(rng, max_nm)
-        lhs = z_generalized(box, cache).shift((box.n0 + box.m) * (box.n0 + box.m + 1))
-        rhs = z_generalized(BoxSpec(box.m0, box.n0, box.m, box.n), cache).shift(
+        lhs = z_generalized(box).shift((box.n0 + box.m) * (box.n0 + box.m + 1))
+        rhs = z_generalized(BoxSpec(box.m0, box.n0, box.m, box.n)).shift(
             (box.n + box.m0) * (box.n + box.m0 + 1)
         )
         box_transpose.check(lhs == rhs, {"box": (box.n0, box.m0, box.n, box.m)})
@@ -267,7 +262,7 @@ def run_identity_suite(
         w = box.width
         expected = (2 * (box.m0 + 1) + 2 * box.n0) * w + w * (w - 1)
         box_min.check(
-            z_generalized(box, cache).min_exponent() == expected,
+            z_generalized(box).min_exponent() == expected,
             {"box": (box.n0, box.m0, box.n, box.m)},
         )
 
@@ -298,6 +293,7 @@ def run_identity_suite(
     return report
 
 
+@memo()
 def run_bound_suite(
     max_chain: int = 8,
     q_grid: Sequence[Fraction] = DEFAULT_Q_GRID,
@@ -306,7 +302,6 @@ def run_bound_suite(
     """Inequality checks at exact rational q: in-regime failures are hard,
     out-of-regime ones informational."""
     rng = random.Random(seed)
-    cache = ZCache()
     q_grid = [Fraction(q) for q in q_grid]
     report = VerificationReport()
 
@@ -329,7 +324,7 @@ def run_bound_suite(
         for n, m in _sectors(max_chain):
             for x in sites_of(n, m):
                 _check_bound(
-                    hard if site_bound_regime(n, m, x) else out, prob(n, m, x, cache),
+                    hard if site_bound_regime(n, m, x) else out, prob(n, m, x),
                     partial(bound, n, m, x), q_grid, {"n": n, "m": m, "x": x},
                 )
 
@@ -350,7 +345,7 @@ def run_bound_suite(
                 for spins in itertools.product((SPIN_DOWN, SPIN_UP), repeat=size):
                     query = CorrelationQuery(SectorSpec(n, m), sites, spins)
                     _check_bound(
-                        multi_in, multipoint_prob(query, cache), partial(exp_bound, query),
+                        multi_in, multipoint_prob(query), partial(exp_bound, query),
                         q_grid, {"n": n, "m": m, "sites": sites, "spins": spins},
                     )
     for _ in range(_OUT_OF_REGIME_INSTANCES):
@@ -365,7 +360,7 @@ def run_bound_suite(
         if multipoint_bound_regime(query):
             continue
         try:
-            prob = multipoint_prob(query, cache)
+            prob = multipoint_prob(query)
         except InconsistentQuery:
             continue
         _check_bound(
@@ -379,19 +374,19 @@ def run_bound_suite(
     for n, m in _sectors(max_chain):
         for v in range(n + 1):
             for w in range(m + 1):
-                holds_at = ratio_bound_check(n, m, v, w, q_grid, cache)
+                holds_at = ratio_bound_check(n, m, v, w, q_grid)
                 ratio.check(len(holds_at) == len(q_grid), {"n": n, "m": m, "v": v, "w": w})
 
     return report
 
 
+@memo()
 def run_fluctuation_suite(
     max_N: int = 8,
     q_grid: Sequence[Fraction] = DEFAULT_Q_GRID,
 ) -> VerificationReport:
     """Normalization, symmetry, zero mean, and the tail bound of the window
     spin distribution at desk scale."""
-    cache = ZCache()
     q_grid = [Fraction(q) for q in q_grid]
     report = VerificationReport()
 
@@ -411,7 +406,7 @@ def run_fluctuation_suite(
     }
     for N in range(2, max_N + 1, 2):
         for L in range(2, N + 1, 2):
-            dist = fluctuation_distribution(FluctuationQuery(N, L), cache)
+            dist = fluctuation_distribution(FluctuationQuery(N, L))
             den = next(iter(dist.values())).den
             total = QPoly.zero()
             mean = QPoly.zero()

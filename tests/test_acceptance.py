@@ -23,13 +23,7 @@ from qpaths.correlations import (
     fluctuation_distribution,
     multipoint_prob,
 )
-from qpaths.partition import (
-    ZCache,
-    markov_decompose,
-    z_cached,
-    z_closed,
-    z_generalized,
-)
+from qpaths.partition import markov_decompose, memo, z_closed, z_generalized
 from qpaths.paths import BoxSpec, enumerate_paths, oracle_partition
 from qpaths.qpoly import QPoly, QRational
 from qpaths.reduction2d import compositions, z2d_oracle, z2d_product, z2d_reduction
@@ -74,46 +68,41 @@ def test_criterion_02_corner_recursions():
 
 
 def test_criterion_03_markov_factorization():
-    with criterion(3, "cut factorization exact on 200 random (box, z), n+m <= 20", budget=10):
+    with (
+        criterion(3, "cut factorization exact on 200 random (box, z), n+m <= 20", budget=10),
+        memo(),
+    ):
         rng = random.Random(20260810)
-        cache = ZCache()
         for _ in range(200):
             n = rng.randint(0, 20)
             m = rng.randint(0, 20 - n)
             box = BoxSpec(rng.randint(0, n), rng.randint(0, m), n, m)
             zcut = rng.randint(box.n0 + box.m0, box.n + box.m)
             total = QPoly.zero()
-            for term in markov_decompose(box, zcut, cache):
+            for term in markov_decompose(box, zcut):
                 total = total + term.left * term.right
-            assert total == z_generalized(box, cache), (box, zcut)
+            assert total == z_generalized(box), (box, zcut)
 
 
 def test_criterion_04_translation_and_transposition():
-    with criterion(4, "translation shifts and transposition symmetries, n+m <= 20"):
+    with criterion(4, "translation shifts and transposition symmetries, n+m <= 20"), memo():
         rng = random.Random(31)
-        cache = ZCache()
         for _ in range(200):
             n = rng.randint(0, 20)
             m = rng.randint(0, 20 - n)
             box = BoxSpec(rng.randint(0, n), rng.randint(0, m), n, m)
             x, y = rng.randint(0, box.n0), rng.randint(0, box.m0)
             moved = BoxSpec(box.n0 - x, box.m0 - y, box.n - x, box.m - y)
-            assert z_generalized(box, cache) == z_generalized(moved, cache).shift(
-                2 * (x + y) * box.width
-            )
-            lhs = z_generalized(box, cache).shift((box.n0 + box.m) * (box.n0 + box.m + 1))
+            assert z_generalized(box) == z_generalized(moved).shift(2 * (x + y) * box.width)
+            lhs = z_generalized(box).shift((box.n0 + box.m) * (box.n0 + box.m + 1))
             transposed = BoxSpec(box.m0, box.n0, box.m, box.n)
-            rhs = z_generalized(transposed, cache).shift(
-                (box.n + box.m0) * (box.n + box.m0 + 1)
-            )
+            rhs = z_generalized(transposed).shift((box.n + box.m0) * (box.n + box.m0 + 1))
             assert lhs == rhs, box
             # ground the shift rule in enumeration where that is affordable
             if box.path_count() <= 2000:
-                assert z_generalized(box, cache) == oracle_partition(box)
+                assert z_generalized(box) == oracle_partition(box)
         for n, m in sectors(20):
-            assert z_cached(n, m, cache).shift(m * (m + 1)) == z_cached(m, n, cache).shift(
-                n * (n + 1)
-            ), (n, m)
+            assert z_closed(n, m).shift(m * (m + 1)) == z_closed(m, n).shift(n * (n + 1)), (n, m)
 
 
 def test_criterion_05_area_exponent_identity():
@@ -124,8 +113,10 @@ def test_criterion_05_area_exponent_identity():
 
 
 def test_criterion_06_multipoint_matches_brute_force():
-    with criterion(6, "joint probabilities equal brute-force sums, n+m <= 8, r <= 3", budget=60):
-        cache = ZCache()
+    with (
+        criterion(6, "joint probabilities equal brute-force sums, n+m <= 8, r <= 3", budget=60),
+        memo(),
+    ):
         for n, m in sectors(8, min_total=1):
             chain = range(1, n + m + 1)
             config_weights = [
@@ -149,7 +140,7 @@ def test_criterion_06_multipoint_matches_brute_force():
                             if downs_wanted <= chosen and not (ups_wanted & chosen):
                                 num = num + w
                         query = CorrelationQuery.build(n, m, zip(sites, spins))
-                        prob = multipoint_prob(query, cache)
+                        prob = multipoint_prob(query)
                         assert prob.evaluate(HALF) == QRational(num, den).evaluate(HALF), (
                             n, m, sites, spins,
                         )
@@ -172,14 +163,16 @@ def test_criterion_07_bound_suite():
 
 
 def test_criterion_08_window_fluctuations():
-    with criterion(8, "window spin distribution: mean, symmetry, tail, concentration", budget=60):
-        cache = ZCache()
+    with (
+        criterion(8, "window spin distribution: mean, symmetry, tail, concentration", budget=60),
+        memo(),
+    ):
         concentration = {}
         for N in (4, 8, 12, 16):
             for L in (2, 4, 6):
                 if L > N:
                     continue
-                dist = fluctuation_distribution(FluctuationQuery(N, L), cache)
+                dist = fluctuation_distribution(FluctuationQuery(N, L))
                 den = dist[0].den
                 total = QPoly.zero()
                 mean = QPoly.zero()

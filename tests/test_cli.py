@@ -503,24 +503,36 @@ class TestGoldenFiles:
         assert out == (DATA / name).read_text(encoding="utf-8")
 
 
+def _memo_count_id(value):
+    """Name a memo-traffic case by its number of memos (argv gets pytest's default id)."""
+    return None if value and isinstance(value[0], str) else str(len(value))
+
+
 @pytest.mark.parametrize(
-    "argv, caches",
+    "argv, traffic",
     [
-        (["partition", "--n", "3", "--m", "2", "--oracle"], 0),
-        (["partition", "--n", "3", "--m", "2", "--recursive"], 0),
-        (["correlate", "--n", "2", "--m", "2", "--sites", "3:down"], 1),
-        (["fluctuations", "--N", "4", "--L", "2", "--q", "1/2"], 1),
-        (["reduce2d", "--N", "2", "--M", "2", "--all", "--check"], 1),
-        (["verify", "identities", "--max-nm", "3", "--count", "2"], 1),
-        (["verify", "bounds", "--max-chain", "3"], 1),
-        (["partition", "--n", "3", "--m", "2"], 0),
-        (["reduce2d", "--N", "2", "--M", "2", "--all"], 0),
-        (["verify", "all", "--max-nm", "3", "--count", "2", "--max-chain", "3"], 3),
+        (["partition", "--n", "3", "--m", "2", "--oracle"], []),
+        (["partition", "--n", "3", "--m", "2", "--recursive"], []),
+        (["correlate", "--n", "2", "--m", "2", "--sites", "3:down"], [(0, 3)]),
+        (["fluctuations", "--N", "4", "--L", "2", "--q", "1/2"], [(0, 6)]),
+        (["reduce2d", "--N", "2", "--M", "2", "--all", "--check"], [(0, 3)]),
+        (["verify", "identities", "--max-nm", "3", "--count", "2"], [(92, 45)]),
+        (["verify", "bounds", "--max-chain", "3"], [(413, 10)]),
+        (["partition", "--n", "3", "--m", "2"], []),
+        (["reduce2d", "--N", "2", "--M", "2", "--all"], []),
+        (
+            ["verify", "all", "--max-nm", "3", "--count", "2", "--max-chain", "3"],
+            [(92, 45), (413, 10), (28, 11)],
+        ),
+        # at L = N the window's row is the chain's row, read from the same memo
+        (["fluctuations", "--N", "6", "--L", "6", "--q", "1/2"], [(4, 4)]),
     ],
+    ids=_memo_count_id,
 )
-def test_which_runs_make_a_cache(argv, caches, monkeypatch, capsys):
-    """The CLI passes no cache: a memo is made only by a verify suite, or by a
-    `z_row` or `fluctuation_distribution` given none."""
+def test_which_runs_make_a_cache(argv, traffic, monkeypatch, capsys):
+    """The CLI opens no memo: one is made only by a verify suite or
+    `fluctuation_distribution`, or by a `z_row` called with none open; each
+    memo's (hits, misses) is pinned."""
     made = []
     init = ZCache.__init__
 
@@ -531,7 +543,7 @@ def test_which_runs_make_a_cache(argv, caches, monkeypatch, capsys):
     monkeypatch.setattr(ZCache, "__init__", counting_init)
     code, _ = run_cli(argv, capsys)
     assert code == 0
-    assert len(made) == caches
+    assert [(cache.hits, cache.misses) for cache in made] == traffic
 
 
 def test_module_entry_point():

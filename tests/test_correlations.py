@@ -31,7 +31,7 @@ from qpaths.correlations import (
     spin_up_prob,
 )
 from qpaths.errors import DomainError, InconsistentQuery
-from qpaths.partition import SectorSpec, ZCache, z_closed, z_generalized, z_row
+from qpaths.partition import SectorSpec, memo, z_closed, z_generalized, z_row
 from qpaths.paths import DOWN, UP, BoxSpec, Path
 from qpaths.qpoly import QPoly, QRational
 
@@ -275,7 +275,7 @@ class TestExponentialBound:
                             assert prob.evaluate(q) <= exp_bound(query, q)
 
 
-def cut_sum_distribution(fq, cache):
+def cut_sum_distribution(fq):
     """Independent reference for the window law: the weight of {d downs in
     the window} summed over the crossing points of the cut at the left window
     edge, each term a product of three boxed partition functions."""
@@ -290,9 +290,9 @@ def cut_sum_distribution(fq, cache):
             x, y = a + d, t2 - a - d
             if x > n or y > m:
                 continue
-            head = z_generalized(BoxSpec(0, 0, a, t1 - a), cache)
-            mid = z_generalized(BoxSpec(a, t1 - a, x, y), cache)
-            tail = z_generalized(BoxSpec(x, y, n, m), cache)
+            head = z_generalized(BoxSpec(0, 0, a, t1 - a))
+            mid = z_generalized(BoxSpec(a, t1 - a, x, y))
+            tail = z_generalized(BoxSpec(x, y, n, m))
             num = num + head * mid * tail
         dist[fq.L // 2 - d] = QRational(num, den)
     return dist
@@ -341,14 +341,16 @@ class TestFluctuations:
                 assert prob == QRational(expected[l], den)
 
     def test_matches_the_cut_sum(self):
-        cache = ZCache()
-        for N in range(2, 31, 2):
-            for L in range(2, N + 1, 2):
-                fq = FluctuationQuery(N, L)
-                rows = {l: p.to_json_obj() for l, p in fluctuation_distribution(fq).items()}
-                cuts = {l: p.to_json_obj() for l, p in cut_sum_distribution(fq, cache).items()}
-                assert list(rows) == sorted(cuts), (N, L)
-                assert rows == cuts, (N, L)
+        queries = [FluctuationQuery(N, L) for N in range(2, 31, 2) for L in range(2, N + 1, 2)]
+        # the rows are built before the memo opens, so none is read from a cut sum's Z
+        rows = [
+            {l: p.to_json_obj() for l, p in fluctuation_distribution(fq).items()} for fq in queries
+        ]
+        with memo():
+            for fq, row in zip(queries, rows):
+                cuts = {l: p.to_json_obj() for l, p in cut_sum_distribution(fq).items()}
+                assert list(row) == sorted(cuts), (fq.N, fq.L)
+                assert row == cuts, (fq.N, fq.L)
 
     def test_normalization_symmetry_mean(self):
         for N in (2, 4, 6, 8):
@@ -494,10 +496,10 @@ def marginal_cases(draw):
 @given(marginal_cases())
 def test_marginalisation_over_one_site(case):
     n, m, assignment, y = case
-    cache = ZCache()
-    whole = multipoint_prob(CorrelationQuery.build(n, m, assignment), cache)
-    down = multipoint_prob(CorrelationQuery.build(n, m, assignment + [(y, SPIN_DOWN)]), cache)
-    up = multipoint_prob(CorrelationQuery.build(n, m, assignment + [(y, SPIN_UP)]), cache)
+    with memo():
+        whole = multipoint_prob(CorrelationQuery.build(n, m, assignment))
+        down = multipoint_prob(CorrelationQuery.build(n, m, assignment + [(y, SPIN_DOWN)]))
+        up = multipoint_prob(CorrelationQuery.build(n, m, assignment + [(y, SPIN_UP)]))
     assert whole.den == down.den == up.den == z_closed(n, m)
     assert whole.num == down.num + up.num
 
@@ -512,20 +514,20 @@ def test_deflate_leaves_the_other_sites_elementary_symmetric_polynomials(data):
     for c in set(range(1, L + 1)) - set(sites):
         for j in range(k, 0, -1):
             expected[j] = expected[j] + expected[j - 1].shift(2 * c)
-    assert _deflate(z_row(L, L, ZCache()), sites, k) == expected
+    assert _deflate(z_row(L, L), sites, k) == expected
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 30), st.integers(0, 30))
 def test_down_probabilities_sum_to_the_down_count(n, m):
     assume(n + m >= 1)
-    cache = ZCache()
-    z = z_closed(n, m)
+    z = z_closed(n, m)  # outside the memo, so the rows' Z(n, m) is built apart from it
     total = QPoly.zero()
-    for x in range(1, n + m + 1):
-        prob = spin_down_prob(n, m, x, cache)
-        assert prob.den == z
-        total = total + prob.num
+    with memo():
+        for x in range(1, n + m + 1):
+            prob = spin_down_prob(n, m, x)
+            assert prob.den == z
+            total = total + prob.num
     assert total == QPoly({e: n * c for e, c in z.terms()})
 
 
@@ -647,14 +649,11 @@ def site_queries(draw):
     return n, m, list(zip(sites, spins))
 
 
-SHARED_CACHE = ZCache()
-
-
 @settings(max_examples=15, deadline=None)
 @given(site_queries(), st.sampled_from((Fraction(1, 2), Fraction(3, 4), Fraction(5, 8))))
 def test_float_probability_is_the_rounded_exact_value(case, q):
     n, m, assignment = case
-    prob = multipoint_prob(CorrelationQuery.build(n, m, assignment), SHARED_CACHE)
+    prob = multipoint_prob(CorrelationQuery.build(n, m, assignment))
     exact = exact_at(prob.num, q) / exact_at(prob.den, q)
     assert exact == prob.evaluate(q)
     got, expected = prob.evaluate(float(q)), float(exact)

@@ -11,8 +11,8 @@ from qpaths.partition import (
     SectorSpec,
     ZCache,
     markov_decompose,
+    memo,
     ratio_bound_check,
-    z_cached,
     z_closed,
     z_generalized,
     z_recursive,
@@ -89,25 +89,25 @@ class TestRow:
         for length in range(41):
             full = [z_closed(j, length - j) for j in range(length + 1)]
             for k in range(length + 1):
-                assert z_row(length, k, ZCache()) == full[: k + 1]
+                assert z_row(length, k) == full[: k + 1]
 
     def test_publishes_into_cache(self):
-        cache = ZCache()
-        z_row(7, 4, cache)
-        assert (cache.hits, cache.misses, len(cache)) == (0, 5, 5)
-        assert cache.get_or_compute((3, 4), lambda: QPoly.zero()) == z_closed(3, 4)
+        expected = z_closed(3, 4)
+        with memo() as cache:
+            z_row(7, 4)
+            assert (cache.hits, cache.misses, len(cache)) == (0, 5, 5)
+            assert cache.get_or_compute((3, 4), lambda: QPoly.zero()) == expected
 
     def test_fully_cached_row_computes_nothing(self, monkeypatch):
-        cache = ZCache()
-        expected = z_row(9, 6, cache)
-
         def fail(*args):
             raise AssertionError("computed a cached entry")
 
-        monkeypatch.setattr(partition, "_mul_div", fail)
-        monkeypatch.setattr(partition, "_z_from_gauss", fail)
-        assert z_row(9, 6, cache) == expected
-        assert z_row(9, 3, cache) == expected[:4]
+        with memo():
+            expected = z_row(9, 6)
+            monkeypatch.setattr(partition, "_mul_div", fail)
+            monkeypatch.setattr(partition, "_z_from_gauss", fail)
+            assert z_row(9, 6) == expected
+            assert z_row(9, 3) == expected[:4]
 
     def test_no_cache_keeps_nothing_between_calls(self, monkeypatch):
         steps = []
@@ -119,9 +119,10 @@ class TestRow:
         assert len(steps) == 12
 
     def test_extends_a_cached_prefix(self):
-        cache = ZCache()
-        z_row(6, 2, cache)
-        assert z_row(6, 5, cache) == [z_closed(j, 6 - j) for j in range(6)]
+        expected = [z_closed(j, 6 - j) for j in range(6)]
+        with memo() as cache:
+            z_row(6, 2)
+            assert z_row(6, 5) == expected
         assert (cache.hits, cache.misses) == (3, 6)
 
     @pytest.mark.parametrize("length, k", [(3, -1), (3, 4)])
@@ -268,11 +269,12 @@ class TestRatioBound:
 
 class TestZCache:
     def test_hit_miss_counting(self):
-        cache = ZCache()
-        z_cached(3, 3, cache)
-        assert (cache.hits, cache.misses) == (0, 1)
-        z_cached(3, 3, cache)
-        assert (cache.hits, cache.misses) == (1, 1)
+        # the memo is empty, hence falsy, at the first call: it must still be used
+        with memo() as cache:
+            z_closed(3, 3)
+            assert (cache.hits, cache.misses) == (0, 1)
+            z_closed(3, 3)
+            assert (cache.hits, cache.misses) == (1, 1)
 
     def test_stored_value_is_never_replaced(self):
         cache = ZCache()
@@ -292,7 +294,7 @@ class TestZCache:
         results = []
 
         def worker():
-            results.append(z_cached(6, 6, cache))
+            results.append(cache.get_or_compute((6, 6), lambda: z_closed(6, 6)))
 
         threads = [threading.Thread(target=worker) for _ in range(8)]
         for t in threads:
@@ -306,7 +308,7 @@ class TestZCache:
 
         def worker():
             for i in range(2_000):
-                z_cached(i % 4, 2, cache)
+                cache.get_or_compute((i % 4, 2), lambda: z_closed(i % 4, 2))
 
         old = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -325,3 +327,56 @@ class TestZCache:
         assert SectorSpec(2, 3).length == 5
         with pytest.raises(ValueError):
             SectorSpec(-1, 0)
+
+
+class TestMemo:
+    @pytest.fixture
+    def made(self, monkeypatch):
+        """Every ZCache built while the test runs."""
+        made = []
+        init = ZCache.__init__
+
+        def counting_init(cache):
+            init(cache)
+            made.append(cache)
+
+        monkeypatch.setattr(ZCache, "__init__", counting_init)
+        return made
+
+    def test_nested_blocks_and_decorated_calls_use_the_outer_memo(self, made):
+        @memo()
+        def inner_z(n, m):
+            return z_closed(n, m)
+
+        with memo() as outer:  # empty, hence falsy, when the inner blocks open
+            with memo() as inner:
+                assert inner is outer
+                inner_z(2, 3)
+            with memo():
+                z_row(5, 2)
+        assert made == [outer]
+        assert (outer.hits, outer.misses) == (1, 3)  # row (0,5), (1,4), (2,3) after Z(2, 3)
+
+    def test_no_memo_is_open_after_a_block(self, made):
+        with memo():
+            pass
+        with pytest.raises(RuntimeError):
+            with memo():
+                raise RuntimeError("body failed")
+        assert partition._MEMO.get() is None
+        z_closed(3, 3)
+        assert len(made) == 2
+
+    def test_a_thread_started_in_a_block_sees_no_memo(self):
+        seen = []
+
+        def worker():
+            seen.append(partition._MEMO.get())
+            z_closed(3, 3)
+
+        with memo() as cache:
+            thread = threading.Thread(target=worker)
+            thread.start()
+            thread.join(timeout=60)
+        assert seen == [None]
+        assert (cache.hits, cache.misses) == (0, 0)
