@@ -3,14 +3,17 @@
 Every subcommand is one ``run(args) -> (code, config, q_mode, result, table)``
 function; ``_run`` wraps its result in the envelope {command, config,
 library_version, q_mode, result} and ``_emit`` prints it as JSON with sorted
-keys, so identical invocations produce byte-identical output; ``--format
-csv`` prints the tabular part of the result as CSV instead.  ``sample`` emits plain
-path-text lines by default.  q values are rational text ("1/2", "0.5");
-evaluating at the nearest float requires the explicit --float flag.  Exact
-values print in full, whatever their length.  Exit codes: 0 success,
-1 verification failure or stdout closed by its reader before the output was
-written, 2 usage or precondition error, or a request too large for this
-machine (an ``OverflowError`` or ``MemoryError``).
+keys, so identical invocations produce byte-identical output.  That JSON
+equals ``json.dumps(envelope, sort_keys=True, indent=2, default=str)`` byte
+for byte, from a writer of its own (the stdlib's indenting encoder is pure
+Python).  ``--format csv`` prints the tabular part of the result as CSV
+instead.  ``sample`` emits plain path-text lines by default.  q values are
+rational text ("1/2", "0.5"); evaluating at the nearest float requires the
+explicit --float flag.  Exact values print in full, whatever their length.
+Exit codes: 0 success, 1 verification failure or stdout closed by its
+reader before the output was written, 2 usage or precondition error, or a
+request too large for this machine (an ``OverflowError`` or
+``MemoryError``).
 
 A sweep file (``--sweep``) holds lines ``flag = value, value, ...``; the
 cartesian product of all listed flags is run in grid order, one compact
@@ -18,18 +21,23 @@ JSON line per grid point (``--format`` does not apply).  A swept flag needs
 no value on the command line; one given there is overridden by the grid.
 A flag listed twice or with no values, or one the subcommand lacks, is a
 usage error, and every grid point is parsed before the first one runs.
+
+``main`` builds its argparse parser once per process and reuses it for every
+call; ``build_parser()`` returns a new parser each time.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import itertools
 import json
 import os
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Optional, Sequence
 
 from . import __version__
@@ -113,6 +121,66 @@ def _parse_sites(text: str) -> list[tuple[int, str]]:
     return out
 
 
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # json's names
+
+
+def _write_json(value, out: list, pad: str) -> None:
+    """Append to ``out`` the text ``json.dumps(sort_keys=True, indent=2,
+    default=str)`` gives ``value`` when it sits ``pad`` deep; the stdlib
+    encoder falls back to pure Python whenever it indents.
+
+    Dict keys must be str: envelopes have no others, and json's text for
+    other keys would need its own sort and key conversion.
+    """
+    if isinstance(value, str):
+        out.append(_quote(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        text = float.__repr__(value)
+        out.append(_NONFINITE.get(text, text))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = pad + "  "
+        if all(type(t) is list and len(t) == 2 and type(t[0]) is int and type(t[1]) is str for t in value):
+            # A QPoly term list [[exponent, "coefficient"], ...], which is
+            # most of a large envelope: one join for the whole list.
+            term = inner + "  "
+            out.append("[\n" + ",\n".join(
+                f"{inner}[\n{term}{e},\n{term}{_quote(c)}\n{inner}]" for e, c in value
+            ) + f"\n{pad}]")
+            return
+        sep = "[\n" + inner
+        for item in value:
+            out.append(sep)
+            _write_json(item, out, inner)
+            sep = ",\n" + inner
+        out.append("\n" + pad + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = pad + "  "
+        sep = "{\n" + inner
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"JSON object keys must be str, not {type(key).__name__}")
+            out.append(sep + _quote(key) + ": ")
+            _write_json(value[key], out, inner)
+            sep = ",\n" + inner
+        out.append("\n" + pad + "}")
+    else:
+        out.append(_quote(str(value)))
+
+
 def _emit(args, envelope: dict, table: Optional[tuple[list[str], list[list]]]):
     """Print one result: a compact JSON line for a sweep point, else in ``--format``.
 
@@ -130,7 +198,9 @@ def _emit(args, envelope: dict, table: Optional[tuple[list[str], list[list]]]):
             for line in envelope["result"]["paths"]:
                 print(line)
         else:
-            print(json.dumps(envelope, sort_keys=True, indent=2, default=str))
+            out: list[str] = []
+            _write_json(envelope, out, "")
+            print("".join(out))
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -294,10 +364,9 @@ def _read_sweep_file(path: str) -> dict[str, list[str]]:
     return grid
 
 
-def _sweep_file(argv: list[str]) -> Optional[str]:
-    """The ``--sweep`` file, read ahead of the full parse, which would demand the swept flags."""
-    flag = argparse.ArgumentParser(add_help=False, exit_on_error=False)
-    flag.add_argument("--sweep")
+def _sweep_file(flag: argparse.ArgumentParser, argv: list[str]) -> Optional[str]:
+    """The ``--sweep`` file, read by the one-flag parser ``flag`` ahead of the
+    full parse, which would demand the swept flags."""
     try:
         return flag.parse_known_args(argv)[0].sweep
     except argparse.ArgumentError:  # a bare --sweep; the full parse reports it
@@ -353,6 +422,7 @@ def _add_sweep(sub):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser on every call; ``main`` builds one per process."""
     parser = argparse.ArgumentParser(
         prog="qpaths",
         description="Exact partition functions, correlations and fluctuations "
@@ -435,10 +505,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
+    """The full parser and the ``--sweep`` pre-parser, built once per process.
+
+    Building them costs more than a small request; argparse keeps no state
+    between parses, so every call of ``main`` can share them.
+    """
+    flag = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    flag.add_argument("--sweep")
+    return build_parser(), flag
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    sweep = _sweep_file(argv)
+    parser, sweep_flag = _parsers()
+    sweep = _sweep_file(sweep_flag, argv)
     try:
         code = _run_sweep(parser, argv, sweep) if sweep else _run(parser.parse_args(argv))
         sys.stdout.flush()

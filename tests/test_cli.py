@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qpaths import cli
 from qpaths.cli import main
 from qpaths.partition import ZCache, z_closed
 
@@ -576,6 +577,111 @@ def test_stdout_closed_by_its_reader_exits_quietly():
     assert proc.returncode == 1
 
 
+def call(argv):
+    """stdout, stderr and exit code of one in-process ``main(argv)``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors, --version
+            code = exc.code
+    return out.getvalue(), err.getvalue(), code
+
+
+def test_a_reused_parser_answers_as_a_fresh_one(tmp_path):
+    grid = tmp_path / "grid.cfg"
+    grid.write_text("n = 1, 2\nm = 0, 1\n")
+    argvs = [
+        ["partition", "--n", "3", "--m", "2", "--eval", "1/2"],
+        ["partition", "--n", "2", "--m", "1", "--format", "csv"],
+        ["correlate", "--n", "2", "--m", "2", "--sites", "3:down,4:up", "--eval", "1/3", "--float"],
+        ["correlate", "--n", "2", "--m", "2", "--sites", "3:down", "--eval", "1/2", "--exact"],
+        ["fluctuations", "--N", "6", "--L", "2", "--q", "1/2"],
+        ["sample", "--n", "3", "--m", "3", "--q", "1/3", "--count", "4", "--seed", "5"],
+        ["reduce2d", "--N", "2", "--M", "2", "--all", "--check"],
+        ["verify", "fluctuations", "--max-chain", "2", "--format", "csv"],
+        ["fluctuations", "--N", "4", "--L", "3", "--q", "1/2"],
+        ["partition", "--sweep", str(grid)],
+        ["--version"],
+    ]
+    argvs.append(argvs[0])
+    cli._parsers.cache_clear()
+    reused = [call(argv) for argv in argvs]
+    fresh = []
+    for argv in argvs:
+        cli._parsers.cache_clear()
+        fresh.append(call(argv))
+    assert reused == fresh
+    codes = [code for _, _, code in reused]
+    assert codes == [0, 0, 0, 2, 0, 0, 0, 0, 2, 0, 0, 0]
+    assert "not allowed with argument" in reused[3][1]  # argparse's usage error
+    assert reused[8][1].startswith("error: ")  # a precondition
+
+
+def test_main_builds_its_parser_once_per_process(monkeypatch):
+    # A tracer that wraps ``parse_args`` on each parser ``build_parser``
+    # returns would nest its wrappers if that were one shared instance.
+    assert cli.build_parser() is not cli.build_parser()
+    builds = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+    cli._parsers.cache_clear()
+    try:
+        for argv in (["partition", "--n", "1", "--m", "1"], ["partition", "--n", "2"], ["--version"]):
+            call(argv)
+    finally:
+        cli._parsers.cache_clear()
+    assert len(builds) == 1
+
+
+def json_text(value):
+    out = []
+    cli._write_json(value, out, "")
+    return "".join(out)
+
+
+TERMS = st.lists(st.tuples(st.integers(-5, 10**6), st.integers().map(str)).map(list), max_size=4)
+NEAR_TERMS = st.sampled_from([
+    [[1, 5]], [[True, "2"]], [[1, "2", 3]], [[1, "2"], [3, 4]], [(1, "2")], [[1.0, "2"]], [[]], [[1, None]],
+])
+LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(4300, 4400).map(lambda digits: -(10**digits) + 7),
+    st.floats(),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, 2.2e-308, 1e16]),
+    st.fractions(),
+    st.text(),
+    st.sampled_from(["", "\x00\x1f\x7f", "\u00e9\u2603", "\ud800", "\U0001f600", "\"\\/\b\f\n\r\t"]),
+    TERMS,
+    NEAR_TERMS,
+)
+ENVELOPES = st.recursive(
+    LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(st.text(max_size=4), children, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=250, deadline=None)
+@given(ENVELOPES)
+def test_json_writer_equals_the_stdlib_encoder(value):
+    with cli._any_length_ints():
+        assert json_text(value) == json.dumps(value, sort_keys=True, indent=2, default=str)
+
+
+@pytest.mark.parametrize("value", [{1: "a"}, {"a": [{None: 1}]}, {"a": 1, 2.5: 1}])
+def test_json_writer_refuses_keys_that_are_not_str(value):
+    # Envelopes have str keys only; json.dumps would convert these.
+    with pytest.raises(TypeError):
+        json_text(value)
+
+
 def mostly(good, bad):
     """Values of ``good`` nine times in ten, else of ``bad``."""
     return st.integers(0, 9).flatmap(lambda i: good if i else bad)
@@ -654,15 +760,10 @@ def cli_argvs(draw):
 @given(cli_argvs())
 def test_fuzzed_argv_exits_0_1_or_2(argv):
     """Only argparse's SystemExit leaves main, and every exit 2 says why on stderr."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse's usage errors
-            code = exc.code
+    _, err, code = call(argv)
     assert code in (0, 1, 2)
     if code == 2:
-        assert err.getvalue()
+        assert err
 
 
 def readme_block(heading, language):
