@@ -3,17 +3,16 @@
 Every subcommand is one ``run(args) -> (code, config, q_mode, result, table)``
 function; ``_run`` wraps its result in the envelope {command, config,
 library_version, q_mode, result} and ``_emit`` prints it as JSON with sorted
-keys, so identical invocations produce byte-identical output.  That JSON
-equals ``json.dumps(envelope, sort_keys=True, indent=2, default=str)`` byte
-for byte, from a writer of its own (the stdlib's indenting encoder is pure
-Python).  ``--format csv`` prints the tabular part of the result as CSV
-instead.  ``sample`` emits plain path-text lines by default.  q values are
-rational text ("1/2", "0.5"); evaluating at the nearest float requires the
-explicit --float flag.  Exact values print in full, whatever their length.
-Exit codes: 0 success, 1 verification failure or stdout closed by its
-reader before the output was written, 2 usage or precondition error, or a
-request too large for this machine (an ``OverflowError`` or
-``MemoryError``).
+keys, so identical invocations produce byte-identical output.  One writer,
+``_write_json``, gives both JSON forms, with exact polynomials reaching it as
+``QPoly`` and ``QRational`` values.  ``--format csv`` prints the tabular part
+of the result as CSV instead.  ``sample`` emits plain path-text lines by
+default.  q values are rational text ("1/2", "0.5"); evaluating at the
+nearest float requires the explicit --float flag.  Exact values print in
+full, whatever their length.  Exit codes: 0 success, 1 verification failure
+or stdout closed by its reader before the output was written, 2 usage or
+precondition error, or a request too large for this machine (an
+``OverflowError`` or ``MemoryError``).
 
 A sweep file (``--sweep``) holds lines ``flag = value, value, ...``; the
 cartesian product of all listed flags is run in grid order, one compact
@@ -32,13 +31,12 @@ import argparse
 import csv
 import functools
 import itertools
-import json
 import os
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import __version__
 from .correlations import (
@@ -56,6 +54,7 @@ from .correlations import (
 from .errors import CapExceeded, DomainError
 from .partition import DEFAULT_Q_GRID, z_closed, z_recursive
 from .paths import BoxSpec, oracle_partition
+from .qpoly import QPoly, QRational
 from .reduction2d import _check_shape, compositions, z2d_oracle, z2d_product, z2d_reduction
 from .verify import run_suites
 
@@ -124,13 +123,16 @@ def _parse_sites(text: str) -> list[tuple[int, str]]:
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # json's names
 
 
-def _write_json(value, out: list, pad: str) -> None:
-    """Append to ``out`` the text ``json.dumps(sort_keys=True, indent=2,
-    default=str)`` gives ``value`` when it sits ``pad`` deep; the stdlib
-    encoder falls back to pure Python whenever it indents.
+def _write_json(value, out: list, nl: str, step: str) -> None:
+    """Append to ``out`` the JSON text of ``value``, where ``nl`` starts a line
+    at its depth and ``step`` indents one level: ("\\n", "  ") gives
+    ``json.dumps(sort_keys=True, indent=2, default=str)`` byte for byte, and
+    ("", "") the same call with ``separators=(",", ":")``.
 
-    Dict keys must be str: envelopes have no others, and json's text for
-    other keys would need its own sort and key conversion.
+    A ``QPoly`` is its term list ``[[exponent, "coefficient"], ...]`` and a
+    ``QRational`` is ``{"den": ..., "num": ...}``.  Dict keys must be str:
+    envelopes have no others, and json's text for other keys would need its
+    own sort and key conversion.
     """
     if isinstance(value, str):
         out.append(_quote(value))
@@ -145,61 +147,56 @@ def _write_json(value, out: list, pad: str) -> None:
     elif isinstance(value, float):
         text = float.__repr__(value)
         out.append(_NONFINITE.get(text, text))
+    elif isinstance(value, QPoly):
+        # Most of a large envelope: one join for the whole term list.
+        inner, term = nl + step, nl + step + step
+        out.append("[" + inner + ("," + inner).join(
+            f'[{term}{e},{term}"{c}"{inner}]' for e, c in value.terms()
+        ) + nl + "]" if value else "[]")
+    elif isinstance(value, QRational):
+        _write_json({"den": value.den, "num": value.num}, out, nl, step)
     elif isinstance(value, (list, tuple)):
-        if not value:
-            out.append("[]")
-            return
-        inner = pad + "  "
-        if all(type(t) is list and len(t) == 2 and type(t[0]) is int and type(t[1]) is str for t in value):
-            # A QPoly term list [[exponent, "coefficient"], ...], which is
-            # most of a large envelope: one join for the whole list.
-            term = inner + "  "
-            out.append("[\n" + ",\n".join(
-                f"{inner}[\n{term}{e},\n{term}{_quote(c)}\n{inner}]" for e, c in value
-            ) + f"\n{pad}]")
-            return
-        sep = "[\n" + inner
+        inner = nl + step
+        sep = "[" + inner
         for item in value:
             out.append(sep)
-            _write_json(item, out, inner)
-            sep = ",\n" + inner
-        out.append("\n" + pad + "]")
+            _write_json(item, out, inner, step)
+            sep = "," + inner
+        out.append(nl + "]" if value else "[]")
     elif isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        inner = pad + "  "
-        sep = "{\n" + inner
+        inner = nl + step
+        colon = ": " if step else ":"
+        sep = "{" + inner
         for key in sorted(value):
             if not isinstance(key, str):
                 raise TypeError(f"JSON object keys must be str, not {type(key).__name__}")
-            out.append(sep + _quote(key) + ": ")
-            _write_json(value[key], out, inner)
-            sep = ",\n" + inner
-        out.append("\n" + pad + "}")
+            out.append(sep + _quote(key) + colon)
+            _write_json(value[key], out, inner, step)
+            sep = "," + inner
+        out.append(nl + "}" if value else "{}")
     else:
         out.append(_quote(str(value)))
 
 
-def _emit(args, envelope: dict, table: Optional[tuple[list[str], list[list]]]):
+def _emit(args, envelope: dict, table: Optional[tuple[list[str], Iterable[list]]]):
     """Print one result: a compact JSON line for a sweep point, else in ``--format``.
 
-    Exact values arrive as Fractions and are written out as strings here,
-    with the int-to-str digit limit lifted, so any length prints.
+    Both JSON forms come from ``_write_json``.  Exact values arrive as
+    ``Fraction``, ``QPoly`` and ``QRational`` and are written out here, with
+    the int-to-str digit limit lifted, so any length prints.
     """
+    sweep = getattr(args, "sweep", None)
     with _any_length_ints():
-        if getattr(args, "sweep", None):
-            print(json.dumps(envelope, sort_keys=True, separators=(",", ":"), default=str))
-        elif args.format == "csv":
+        if not sweep and args.format == "csv":
             writer = csv.writer(sys.stdout, lineterminator="\n")
             writer.writerow(table[0])
             writer.writerows(table[1])
-        elif args.format == "text":
+        elif not sweep and args.format == "text":
             for line in envelope["result"]["paths"]:
                 print(line)
         else:
             out: list[str] = []
-            _write_json(envelope, out, "")
+            _write_json(envelope, out, "" if sweep else "\n", "" if sweep else "  ")
             print("".join(out))
 
 
@@ -221,10 +218,10 @@ def _run_partition(args) -> tuple:
         method = "closed"
     q = _parse_q(args.eval, args.float) if args.eval is not None else None
     q_mode = None if q is None else ("float" if args.float else "exact")
-    terms = poly.to_json_obj()
-    result = {"polynomial": terms, "value": None if q is None else poly.evaluate(q)}
+    result = {"polynomial": poly, "value": None if q is None else poly.evaluate(q)}
     config = {"n": args.n, "m": args.m, "method": method, "eval": args.eval}
-    return 0, config, q_mode, result, (["exponent", "coefficient"], terms)
+    rows = ([e, c] for p in [poly] for e, c in p.terms())  # read only when csv is written
+    return 0, config, q_mode, result, (["exponent", "coefficient"], rows)
 
 
 def _run_correlate(args) -> tuple:
@@ -248,7 +245,7 @@ def _run_correlate(args) -> tuple:
              "bound": b, "bound_float": float(b), "holds": bool(p <= b)}
         )
     result = {
-        "probability": prob.to_json_obj(),
+        "probability": prob,
         "bound_exponent": query.bound_exponent,
         "checks": checks,
         "bound_holds": all(c["holds"] for c in checks),
@@ -267,7 +264,10 @@ def _run_fluctuations(args) -> tuple:
     rows = []
     for l, prob in dist.items():
         p = prob.evaluate(q)
-        tail = TailBound(q, fq.L, abs(l)).value if l != 0 else None
+        try:
+            tail = TailBound(q, fq.L, abs(l)).value if l != 0 else None
+        except DomainError:  # past the float range: above 1, so it bounds nothing
+            tail = None
         rows.append({"l": l, "probability": p, "probability_float": float(p), "tail_bound": tail})
     result = {"sector": [fq.sector.n, fq.sector.m], "window": list(fq.window), "distribution": rows}
     config = {"N": args.N, "L": args.L, "q": args.q}
@@ -291,7 +291,7 @@ def _run_reduce2d(args) -> tuple:
         raise ValueError(f"--k must lie in [0, {args.N * args.M}], got {args.k}")
     oracle = z2d_oracle(args.N, args.M)
     ks = range(len(oracle)) if args.all else [args.k]
-    terms = [{"k": k, "polynomial": oracle[k].to_json_obj()} for k in ks]
+    terms = [{"k": k, "polynomial": oracle[k]} for k in ks]
     result = {"terms": terms}
     if args.check:
         reduction, product = z2d_reduction(args.N, args.M), z2d_product(args.N, args.M)
@@ -301,7 +301,7 @@ def _run_reduce2d(args) -> tuple:
         result["check_passed"] = all(entry["routes_agree"] for entry in terms)
     config = {"N": args.N, "M": args.M, "k": args.k, "all": args.all, "check": args.check}
     header = ["k", "exponent", "coefficient"]
-    rows = [[t["k"], e, c] for t in terms for e, c in t["polynomial"]]
+    rows = ([t["k"], e, c] for t in terms for e, c in t["polynomial"].terms())
     code = 0 if result.get("check_passed", True) else 1
     return code, config, None, result, (header, rows)
 

@@ -178,15 +178,11 @@ class QPoly:
             raise ValueError("shift must be non-negative")
         return QPoly.dense(self._low + k, self._coeffs)
 
-    # -- evaluation and serialization ----------------------------------------
+    # -- evaluation ---------------------------------------------------------
 
     def evaluate(self, q: Scalar) -> Scalar:
         """Value at q: the ratio of this polynomial over one (``QRational.evaluate``)."""
         return QRational(self, QPoly.one()).evaluate(q)
-
-    def to_json_obj(self) -> list[list]:
-        """[[exponent, coefficient-as-decimal-string], ...] sorted by exponent."""
-        return [[e, str(c)] for e, c in self.terms()]
 
     def __repr__(self) -> str:
         return f"QPoly({dict(self.terms())!r})"
@@ -246,6 +242,3 @@ class QRational:
         if not isinstance(other, QRational):
             return NotImplemented
         return self.num * other.den == other.num * self.den
-
-    def to_json_obj(self) -> dict:
-        return {"num": self.num.to_json_obj(), "den": self.den.to_json_obj()}

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 import os
 import shlex
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from qpaths import cli
 from qpaths.cli import main
 from qpaths.partition import ZCache, z_closed
+from qpaths.qpoly import QPoly, QRational
 
 DATA = Path(__file__).parent / "data"
 README = Path(__file__).parents[1] / "README.md"
@@ -158,8 +160,8 @@ def test_bad_rational_or_sweep_file_is_a_diagnostic(argv, capsys):
          "q must lie strictly in (0, 1) as a float; 0.99999999999999999 rounds to 1.0"),
         (["partition", "--n", "2", "--m", "2", "--oracle", "--cap", "-1"], "--cap must be >= 0"),
         (["partition", "--n", "2", "--m", "2", "--cap", "-1"], "--cap must be >= 0"),
-        (["fluctuations", "--N", "54", "--L", "54", "--q", "0.999999999999"],
-         "tail bound at l=27, L=54, q=999999999999/1000000000000 is past the float range"),
+        (["fluctuations", "--N", "4", "--L", "6", "--q", "1/2"],
+         "need even 0 < L <= N, got N=4, L=6"),
         (["partition", "--n", "1", "--m", "1", "--float"], "--float needs --eval"),
         (["correlate", "--n", "2", "--m", "2", "--sites", "3:down", "--float"],
          "--float needs --eval"),
@@ -176,6 +178,24 @@ def test_bad_rational_or_sweep_file_is_a_diagnostic(argv, capsys):
 def test_diagnostic_names_the_precondition(argv, message, capsys):
     assert main(argv) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fluctuations", "--N", "4", "--L", "2", "--q", "0.99999999999999999999"],
+        ["fluctuations", "--N", "54", "--L", "54", "--q", "0.999999999999"],
+        ["fluctuations", "--N", "54", "--L", "54", "--q", "0.999999999999", "--float"],
+    ],
+    ids=["N4-exact", "N54-exact", "N54-float"],
+)
+def test_a_tail_bound_past_the_float_range_prints_as_null(argv, capsys):
+    # There the bound is above 1 and bounds nothing; the probabilities still print.
+    code, out = run_cli(argv, capsys)
+    assert code == 0
+    rows = json.loads(out)["result"]["distribution"]
+    assert [row["tail_bound"] for row in rows] == [None] * len(rows)
+    assert sum(Fraction(row["probability"]) for row in rows) == 1
 
 
 @pytest.mark.parametrize("n, m", [(10**20, 0), (100_000, 100_000)])
@@ -473,6 +493,34 @@ class TestSweep:
         assert "argument --n: invalid int value: 'x'" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv, grid",
+    [
+        (["partition", "--m", "2"], {"n": ["0", "3"], "eval": ["1/3", "0.5"]}),
+        (["correlate", "--n", "3", "--m", "3"], {"sites": ["3:down", "4:up"]}),
+        (["correlate", "--n", "3", "--m", "3", "--eval", "1/3", "--float"], {"sites": ["3:down"]}),
+        (["fluctuations", "--N", "6", "--q", "1/2"], {"L": ["2", "4"]}),
+        (["sample", "--n", "3", "--m", "2", "--q", "1/2", "--count", "2"], {"seed": ["0", "1"]}),
+        (["reduce2d", "--N", "2", "--M", "2", "--check"], {"k": ["0", "2"]}),
+    ],
+    ids=["partition", "correlate", "correlate-float", "fluctuations", "sample", "reduce2d"],
+)
+def test_each_sweep_line_equals_its_point_run_alone(argv, grid, tmp_path, capsys):
+    # The compact and the indented form are one writer's; they hold the same values.
+    path = tmp_path / "grid.cfg"
+    path.write_text("".join(f"{name} = {', '.join(values)}\n" for name, values in grid.items()))
+    code, out = run_cli([*argv, "--sweep", str(path)], capsys)
+    assert code == 0
+    lines = out.splitlines()
+    points = list(itertools.product(*grid.values()))
+    assert len(lines) == len(points)
+    for line, values in zip(lines, points):
+        swept = [tok for name, value in zip(grid, values) for tok in (f"--{name}", value)]
+        code, alone = run_cli([*argv, *swept, "--format", "json"], capsys)
+        assert code == 0
+        assert json.loads(line) == json.loads(alone)
+
+
 class TestGoldenFiles:
     @pytest.mark.parametrize(
         "name,argv",
@@ -634,16 +682,30 @@ def test_main_builds_its_parser_once_per_process(monkeypatch):
     assert len(builds) == 1
 
 
-def json_text(value):
+#: The writer's arguments for each form, and the json.dumps arguments it matches.
+FORMS = [(("\n", "  "), {"indent": 2}), (("", ""), {"separators": (",", ":")})]
+
+
+def json_text(value, nl, step):
     out = []
-    cli._write_json(value, out, "")
+    cli._write_json(value, out, nl, step)
     return "".join(out)
 
 
-TERMS = st.lists(st.tuples(st.integers(-5, 10**6), st.integers().map(str)).map(list), max_size=4)
-NEAR_TERMS = st.sampled_from([
-    [[1, 5]], [[True, "2"]], [[1, "2", 3]], [[1, "2"], [3, 4]], [(1, "2")], [[1.0, "2"]], [[]], [[1, None]],
-])
+def stdlib_default(value):
+    """What json.dumps is to encode for a value of no json type, as the writer does."""
+    if isinstance(value, QPoly):
+        return [[e, str(c)] for e, c in value.terms()]
+    if isinstance(value, QRational):
+        return {"den": value.den, "num": value.num}
+    return str(value)
+
+
+POLYS = st.one_of(
+    st.just(QPoly.zero()),
+    st.dictionaries(st.integers(0, 40), st.integers(-(10**6), 10**6), max_size=4).map(QPoly),
+    st.integers(4300, 4400).map(lambda digits: QPoly({3: -(10**digits) + 7, 5: 1})),
+)
 LEAVES = st.one_of(
     st.none(),
     st.booleans(),
@@ -654,8 +716,8 @@ LEAVES = st.one_of(
     st.fractions(),
     st.text(),
     st.sampled_from(["", "\x00\x1f\x7f", "\u00e9\u2603", "\ud800", "\U0001f600", "\"\\/\b\f\n\r\t"]),
-    TERMS,
-    NEAR_TERMS,
+    POLYS,
+    st.builds(QRational, POLYS, POLYS.filter(bool)),
 )
 ENVELOPES = st.recursive(
     LEAVES,
@@ -672,14 +734,17 @@ ENVELOPES = st.recursive(
 @given(ENVELOPES)
 def test_json_writer_equals_the_stdlib_encoder(value):
     with cli._any_length_ints():
-        assert json_text(value) == json.dumps(value, sort_keys=True, indent=2, default=str)
+        for form, stdlib in FORMS:
+            want = json.dumps(value, sort_keys=True, default=stdlib_default, **stdlib)
+            assert json_text(value, *form) == want
 
 
 @pytest.mark.parametrize("value", [{1: "a"}, {"a": [{None: 1}]}, {"a": 1, 2.5: 1}])
 def test_json_writer_refuses_keys_that_are_not_str(value):
     # Envelopes have str keys only; json.dumps would convert these.
-    with pytest.raises(TypeError):
-        json_text(value)
+    for form, _ in FORMS:
+        with pytest.raises(TypeError):
+            json_text(value, *form)
 
 
 def mostly(good, bad):

@@ -344,11 +344,11 @@ class TestFluctuations:
         queries = [FluctuationQuery(N, L) for N in range(2, 31, 2) for L in range(2, N + 1, 2)]
         # the rows are built before the memo opens, so none is read from a cut sum's Z
         rows = [
-            {l: p.to_json_obj() for l, p in fluctuation_distribution(fq).items()} for fq in queries
+            {l: (p.num, p.den) for l, p in fluctuation_distribution(fq).items()} for fq in queries
         ]
         with memo():
             for fq, row in zip(queries, rows):
-                cuts = {l: p.to_json_obj() for l, p in cut_sum_distribution(fq).items()}
+                cuts = {l: (p.num, p.den) for l, p in cut_sum_distribution(fq).items()}
                 assert list(row) == sorted(cuts), (fq.N, fq.L)
                 assert row == cuts, (fq.N, fq.L)
 
