@@ -301,21 +301,6 @@ class TailBound:
 # -- exact sampling -------------------------------------------------------------
 
 
-def _bernoulli_exact(rng: random.Random, num: int, den: int) -> bool:
-    """Exact Bernoulli(num/den) draw, 0 < num < den, by lazy binary-digit comparison.
-
-    Reads uniform bits until the first that differs from its digit of num/den
-    (an expected two bits, and a finite number with probability one), so the
-    draw is exact.  The digits depend only on the value of num/den, so the
-    pair need not be reduced.
-    """
-    while True:
-        digit, num = divmod(2 * num, den)
-        bit = rng.getrandbits(1)
-        if bit != digit:
-            return bit < digit
-
-
 class PathSampler:
     """Draws monotone paths to (n, m) exactly from the weight distribution
     w(p)/Z(n, m).
@@ -327,9 +312,8 @@ class PathSampler:
     With q = a/b, A = a^2 and B = b^2 it is the integer ratio
     B^i (B^j - A^j) / (B^(i+j) - A^(i+j)), read from per-sampler tables of
     B^k and B^k - A^k for k <= n + m; tables past ``_SAMPLER_TABLE_BITS``
-    raise MemoryError before they are built.  Thresholds are exact and
-    compared against a deterministic seeded bit stream, so the target
-    distribution is exact and runs are reproducible.  Each sampler owns its
+    raise MemoryError before they are built.  Draws are exact and
+    reproducible from the seed (see ``draw``).  Each sampler owns its
     random stream; concurrent sampling needs independent seeds.
     """
 
@@ -359,14 +343,30 @@ class PathSampler:
         return self._b_pow[i] * self._gap[j], self._gap[i + j]
 
     def draw(self) -> Path:
+        """One path, drawn from its last step back.
+
+        Each step reads one ``getrandbits(1)`` per binary digit of its
+        probability num/den (Knuth-Yao lazy comparison) until a bit differs
+        from its digit, which decides the step: an expected two bits, and a
+        finite number with probability one, so the draw is exact.  Digits
+        depend only on the value of num/den, so the pair is not reduced.
+        The loop is inline: a call per step cost as much as the comparison.
+        """
+        getbit, b_pow, gap = self._rng.getrandbits, self._b_pow, self._gap
         i, j = self.n, self.m
-        reversed_steps = []
-        while i > 0 and j > 0:
-            if _bernoulli_exact(self._rng, *self._threshold(i, j)):
-                reversed_steps.append(UP)
-                j -= 1
-            else:
-                reversed_steps.append(DOWN)
-                i -= 1
-        reversed_steps.extend(DOWN * i + UP * j)
-        return Path((0, 0), "".join(reversed(reversed_steps)))
+        steps = [UP] * (i + j)  # a horizontal step into (i, j) is entry i + j - 1
+        while i and j:
+            num, den = b_pow[i] * gap[j], gap[i + j]  # _threshold(i, j), inline
+            while True:  # digit by shift and subtract; num stays below den
+                num <<= 1
+                if num >= den:  # digit 1: a bit of 0 is below it, a vertical step
+                    num -= den
+                    if not getbit(1):
+                        j -= 1
+                        break
+                elif getbit(1):  # digit 0: a bit of 1 is above it, a horizontal step
+                    i -= 1
+                    steps[i + j] = DOWN
+                    break
+        steps[:i] = DOWN * i
+        return Path((0, 0), "".join(steps))

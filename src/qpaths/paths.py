@@ -69,7 +69,7 @@ class Path:
     def __post_init__(self):
         if self.origin[0] < 0 or self.origin[1] < 0:
             raise ValueError(f"origin {self.origin} outside the positive quadrant")
-        if not set(self.steps) <= {DOWN, UP}:
+        if self.steps.strip(DOWN + UP):
             raise ValueError(f"steps must be over {{H,V}}, got {self.steps!r}")
 
     def weight(self) -> QPoly:

@@ -16,7 +16,6 @@ from qpaths.correlations import (
     FluctuationQuery,
     PathSampler,
     TailBound,
-    _bernoulli_exact,
     _deflate,
     exp_bound,
     fluctuation_distribution,
@@ -610,17 +609,41 @@ def test_integer_thresholds_at_200x200():
     assert_same_draws(200, 200, Fraction(3, 4), 2024, 5)
 
 
-class ZeroBits:
-    """An RNG stub whose bit stream is all zeros: the uniform value 0."""
+@st.composite
+def wide_digit_qs(draw):
+    """q = (b-1)/b or a/b with b up to 10^9, whose thresholds are integers
+    of thousands of bits, or 1/2, whose long runs of one-digits keep the
+    comparison going past its first bits."""
+    b = draw(st.integers(2, 10**9))
+    a = draw(st.one_of(st.just(b - 1), st.integers(1, b - 1)))
+    return draw(st.sampled_from([HALF, Fraction(a, b)]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 40), st.integers(0, 40), wide_digit_qs(), st.integers(0, 2**32), st.integers(1, 3))
+def test_wide_digit_thresholds_draw_the_fraction_samplers_paths(n, m, q, seed, draws):
+    assert_same_draws(n, m, q, seed, draws)
+
+
+class OnesThenZeros:
+    """An RNG stub whose first 300 bits are ones and the rest zeros."""
+
+    def __init__(self):
+        self.calls = 0
 
     def getrandbits(self, k):
-        return 0
+        self.calls += 1
+        return 1 if self.calls <= 300 else 0
 
 
-def test_bernoulli_draw_is_exact_past_256_digits():
-    # 1/2^300 has 299 zero digits before its first one, so only a comparison
-    # that reads on until the first differing bit sees 0 < 2^-300
-    assert _bernoulli_exact(ZeroBits(), 1, 2**300)
+def test_draw_is_exact_past_256_digits():
+    # At (1, 160) and q = 1/2 the vertical probability is
+    # 1 - 3 * 2^-322 * (1 + 4^-161 + ...), 320 one-digits first: 300 one-bits
+    # match them and the next zero-bit is below, so the last step is vertical.  A comparison that gave up after
+    # 256 digits and said "no" would make it horizontal.
+    sampler = PathSampler(1, 160, HALF, 0)
+    sampler._rng = OnesThenZeros()
+    assert sampler.draw().steps[-1] == UP
 
 
 def exact_at(poly, q):

@@ -34,6 +34,12 @@ class TestPath:
             with pytest.raises(ValueError, match="steps must be over"):
                 Path((0, 0), steps)
 
+    @pytest.mark.parametrize("steps", ["HxV", "HV "])
+    def test_invalid_step_message(self, steps):
+        with pytest.raises(ValueError) as raised:
+            Path((0, 0), steps)
+        assert str(raised.value) == f"steps must be over {{H,V}}, got {steps!r}"
+
 
 class TestWeight:
     def test_down_spins_early(self):
