@@ -10,8 +10,8 @@ of the result as CSV instead.  ``sample`` emits plain path-text lines by
 default.  q values are rational text ("1/2", "0.5"); evaluating at the
 nearest float requires the explicit --float flag.  Exact values print in
 full, whatever their length.  Exit codes: 0 success, 1 verification failure
-or stdout closed by its reader before the output was written, 2 usage or
-precondition error, or a request too large for this machine (an
+or stdout closed by its reader before all of the output was written, 2
+usage or precondition error, or a request too large for this machine (an
 ``OverflowError`` or ``MemoryError``).
 
 A sweep file (``--sweep``) holds lines ``flag = value, value, ...``; the
@@ -36,7 +36,7 @@ import sys
 from contextlib import contextmanager
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from . import __version__
 from .correlations import (
@@ -123,11 +123,11 @@ def _parse_sites(text: str) -> list[tuple[int, str]]:
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # json's names
 
 
-def _write_json(value, out: list, nl: str, step: str) -> None:
-    """Append to ``out`` the JSON text of ``value``, where ``nl`` starts a line
-    at its depth and ``step`` indents one level: ("\\n", "  ") gives
-    ``json.dumps(sort_keys=True, indent=2, default=str)`` byte for byte, and
-    ("", "") the same call with ``separators=(",", ":")``.
+def _write_json(value, write: Callable[[str], object], nl: str, step: str) -> None:
+    """Pass the JSON text of ``value`` to ``write`` in pieces, where ``nl``
+    starts a line at its depth and ``step`` indents one level: ("\\n", "  ")
+    gives ``json.dumps(sort_keys=True, indent=2, default=str)`` byte for
+    byte, and ("", "") the same call with ``separators=(",", ":")``.
 
     A ``QPoly`` is its term list ``[[exponent, "coefficient"], ...]`` and a
     ``QRational`` is ``{"den": ..., "num": ...}``.  Dict keys must be str:
@@ -135,34 +135,37 @@ def _write_json(value, out: list, nl: str, step: str) -> None:
     own sort and key conversion.
     """
     if isinstance(value, str):
-        out.append(_quote(value))
+        write(_quote(value))
     elif value is None:
-        out.append("null")
+        write("null")
     elif value is True:
-        out.append("true")
+        write("true")
     elif value is False:
-        out.append("false")
+        write("false")
     elif isinstance(value, int):
-        out.append(int.__repr__(value))
+        write(int.__repr__(value))
     elif isinstance(value, float):
         text = float.__repr__(value)
-        out.append(_NONFINITE.get(text, text))
+        write(_NONFINITE.get(text, text))
     elif isinstance(value, QPoly):
         # Most of a large envelope: one join for the whole term list.
         inner, term = nl + step, nl + step + step
-        out.append("[" + inner + ("," + inner).join(
+        write("[" + inner + ("," + inner).join(
             f'[{term}{e},{term}"{c}"{inner}]' for e, c in value.terms()
         ) + nl + "]" if value else "[]")
     elif isinstance(value, QRational):
-        _write_json({"den": value.den, "num": value.num}, out, nl, step)
+        _write_json({"den": value.den, "num": value.num}, write, nl, step)
+    elif isinstance(value, (list, tuple)) and value and all(type(i) is int for i in value):
+        # A list of ints (a composition) in one write: ``python -u`` makes each write a syscall.
+        write("[" + nl + step + ("," + nl + step).join(map(int.__repr__, value)) + nl + "]")
     elif isinstance(value, (list, tuple)):
         inner = nl + step
         sep = "[" + inner
         for item in value:
-            out.append(sep)
-            _write_json(item, out, inner, step)
+            write(sep)
+            _write_json(item, write, inner, step)
             sep = "," + inner
-        out.append(nl + "]" if value else "[]")
+        write(nl + "]" if value else "[]")
     elif isinstance(value, dict):
         inner = nl + step
         colon = ": " if step else ":"
@@ -170,20 +173,21 @@ def _write_json(value, out: list, nl: str, step: str) -> None:
         for key in sorted(value):
             if not isinstance(key, str):
                 raise TypeError(f"JSON object keys must be str, not {type(key).__name__}")
-            out.append(sep + _quote(key) + colon)
-            _write_json(value[key], out, inner, step)
+            write(sep + _quote(key) + colon)
+            _write_json(value[key], write, inner, step)
             sep = "," + inner
-        out.append(nl + "}" if value else "{}")
+        write(nl + "}" if value else "{}")
     else:
-        out.append(_quote(str(value)))
+        write(_quote(str(value)))
 
 
 def _emit(args, envelope: dict, table: Optional[tuple[list[str], Iterable[list]]]):
     """Print one result: a compact JSON line for a sweep point, else in ``--format``.
 
-    Both JSON forms come from ``_write_json``.  Exact values arrive as
-    ``Fraction``, ``QPoly`` and ``QRational`` and are written out here, with
-    the int-to-str digit limit lifted, so any length prints.
+    Both JSON forms come from ``_write_json``, which writes as it goes, with
+    the int-to-str digit limit lifted so exact values of any length print.
+    Every refusal is raised in ``run``, before anything is written; a
+    terminal is line-buffered, so there output is flushed line by line.
     """
     sweep = getattr(args, "sweep", None)
     with _any_length_ints():
@@ -195,9 +199,8 @@ def _emit(args, envelope: dict, table: Optional[tuple[list[str], Iterable[list]]
             for line in envelope["result"]["paths"]:
                 print(line)
         else:
-            out: list[str] = []
-            _write_json(envelope, out, "" if sweep else "\n", "" if sweep else "  ")
-            print("".join(out))
+            _write_json(envelope, sys.stdout.write, "" if sweep else "\n", "" if sweep else "  ")
+            sys.stdout.write("\n")
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -296,7 +299,7 @@ def _run_reduce2d(args) -> tuple:
     if args.check:
         reduction, product = z2d_reduction(args.N, args.M), z2d_product(args.N, args.M)
         for k, entry in zip(ks, terms):
-            entry["compositions"] = [list(c) for c in compositions(args.N, args.M, k)]
+            entry["compositions"] = compositions(args.N, args.M, k)  # tuples print as lists
             entry["routes_agree"] = reduction[k] == product[k] == oracle[k]
         result["check_passed"] = all(entry["routes_agree"] for entry in terms)
     config = {"N": args.N, "M": args.M, "k": args.k, "all": args.all, "check": args.check}

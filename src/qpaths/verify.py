@@ -125,7 +125,7 @@ def _random_box(rng: random.Random, max_total: int) -> BoxSpec:
 @memo()
 def run_identity_suite(
     max_nm: int = 12,
-    enumeration_limit: int = 10,
+    enumeration_limit: int = 8,
     random_instances: int = 100,
     seed: int = 0,
 ) -> VerificationReport:
@@ -429,7 +429,7 @@ def run_fluctuation_suite(
 def run_suites(
     suites: Sequence[str],
     max_nm: int = 12,
-    enumeration_limit: int = 10,
+    enumeration_limit: int = 8,
     random_instances: int = 100,
     max_chain: int = 8,
     q_grid: Sequence[Fraction] = DEFAULT_Q_GRID,

@@ -7,6 +7,7 @@ import os
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from qpaths import cli
 from qpaths.cli import main
 from qpaths.partition import ZCache, z_closed
 from qpaths.qpoly import QPoly, QRational
+from qpaths.verify import run_suites
 
 DATA = Path(__file__).parent / "data"
 README = Path(__file__).parents[1] / "README.md"
@@ -645,6 +647,52 @@ def test_stdout_closed_by_its_reader_exits_quietly():
     assert proc.returncode == 1
 
 
+def test_reader_that_closes_the_pipe_partway_ends_the_run_quietly():
+    # The writer streams, so it meets the closed pipe partway through the output.
+    with subprocess.Popen(
+        [sys.executable, "-m", "qpaths", "reduce2d", "--N", "8", "--M", "8", "--all", "--check"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=CHILD_ENV,
+    ) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()  # 2.4 MB of output remain unread
+        stderr = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert first == b"{\n"
+    assert stderr == b""  # in particular, no Traceback
+    assert code == 1
+
+
+class CharCount:
+    """A stdout that keeps nothing but the number of characters written to it."""
+
+    chars = 0
+
+    def write(self, text):
+        self.chars += len(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_the_json_writer_holds_no_copy_of_the_output():
+    """The traced peak stays near the output's size: a writer that gathered
+    its pieces, or joined them, before writing would hold several times more."""
+    sink = CharCount()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            code = main(["reduce2d", "--N", "8", "--M", "8", "--all", "--check"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert sink.chars > 2_000_000
+    assert peak <= 2 * sink.chars
+
+
 def call(argv):
     """stdout, stderr and exit code of one in-process ``main(argv)``."""
     out, err = io.StringIO(), io.StringIO()
@@ -654,6 +702,12 @@ def call(argv):
         except SystemExit as exc:  # argparse's usage errors, --version
             code = exc.code
     return out.getvalue(), err.getvalue(), code
+
+
+def test_verify_defaults_are_the_librarys():
+    out, err, code = call(["verify", "identities"])
+    assert (err, code) == ("", 0)
+    assert json.loads(out)["result"] == run_suites(["identities"]).to_json_obj()
 
 
 def test_a_reused_parser_answers_as_a_fresh_one(tmp_path):
@@ -708,7 +762,7 @@ FORMS = [(("\n", "  "), {"indent": 2}), (("", ""), {"separators": (",", ":")})]
 
 def json_text(value, nl, step):
     out = []
-    cli._write_json(value, out, nl, step)
+    cli._write_json(value, out.append, nl, step)
     return "".join(out)
 
 

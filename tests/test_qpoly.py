@@ -205,7 +205,7 @@ def as_json(value):
     """The value parsed back from the CLI writer's compact JSON text."""
     out = []
     with _any_length_ints():
-        _write_json(value, out, "", "")
+        _write_json(value, out.append, "", "")
     return json.loads("".join(out))
 
 
